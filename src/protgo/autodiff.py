@@ -12,6 +12,7 @@ raise immediately.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -89,12 +90,29 @@ def _toposort(root):
     return order
 
 
+# False inside a no_grad() block: ops then record no parents and no backward.
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Inference mode: tensors made inside the block keep no graph, so
+    intermediate activations are freed as soon as the forward pass moves on."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _needs_graph(*tensors):
     return any(t.requires_grad or t._parents for t in tensors)
 
 
 def _make(data, parents, backward):
-    if _needs_graph(*parents):
+    if _grad_enabled and _needs_graph(*parents):
         out = Tensor(data, _parents=tuple(parents))
         out._backward = backward
         return out
@@ -135,13 +153,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data * b.data
-    return _make(data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return _make(a.data * c, (a,), lambda g: (g * c,))
@@ -172,18 +183,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     old = a.shape
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
-def concat(tensors, axis=0) -> Tensor:
-    tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(data, tensors, backward)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
@@ -330,25 +329,6 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     def backward(g):
         sig = 1.0 / (1.0 + np.exp(-z))
         return ((sig - y) * (float(g) / n),)
-
-    return _make(np.array(loss), (logits,), backward)
-
-
-def categorical_ce_from_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Softmax cross-entropy against a target distribution, mean over rows."""
-    y = np.asarray(targets, dtype=np.float64)
-    if y.shape != logits.shape:
-        raise ShapeError(f"categorical_ce_from_logits: shape mismatch {y.shape} vs {logits.shape}")
-    z = logits.data
-    shifted = z - z.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logz
-    rows = max(1, int(np.prod(z.shape[:-1])))
-    loss = -(y * logp).sum() / rows
-
-    def backward(g):
-        probs = np.exp(logp)
-        return ((probs * y.sum(axis=-1, keepdims=True) - y) * (float(g) / rows),)
 
     return _make(np.array(loss), (logits,), backward)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .manifest import atomic_write
 from .model import FreezeMask, ModelConfig, ProteinEncoder
 
 MAGIC = b"PGO1"
@@ -77,8 +78,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     for name in sorted(arrays):
         arr = arrays[name]
         buf.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def load_checkpoint(path) -> Checkpoint:

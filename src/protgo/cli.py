@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -127,7 +126,7 @@ def cmd_split(args) -> int:
         leaked = None
     elif args.kind == "clustered":
         assignment = splitter.cluster_sequences(records, args.identity_threshold, args.kmer)
-        split = splitter.clustered_split(assignment, seed=args.seed,
+        split = splitter.clustered_split(assignment, (0.8, 0.1, 0.1), seed=args.seed,
                                          identity_threshold=args.identity_threshold)
         leaked = splitter.audit_leakage(split, assignment)
     else:
@@ -254,20 +253,8 @@ def _cmd_train(args, mode) -> int:
     out.mkdir(parents=True, exist_ok=True)
     records, vocabs, meta = _load_dataset(args.dataset)
     outputs = []
-    aspects = _aspects_of(args)
-
-    def run(aspect):
-        return _train_one_aspect(args, mode, aspect, records, vocabs, meta, out)
-
-    if args.parallel_aspects and len(aspects) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = min(len(aspects), int(os.environ.get("PROTGO_THREADS", len(aspects))))
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            results = list(pool.map(run, aspects))
-    else:
-        results = [run(a) for a in aspects]
-    for (ckpt_path, loss_path, loss_records), aspect in zip(results, aspects):
+    for aspect in _aspects_of(args):
+        ckpt_path, loss_path, loss_records = _train_one_aspect(args, mode, aspect, records, vocabs, meta, out)
         outputs += [ckpt_path, loss_path]
         if loss_records:
             _say(args, f"{aspect.value}: {len(loss_records)} optimizer steps, "
@@ -317,52 +304,48 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _scores_from_checkpoints(args, aspect, records, vocabs, meta, test_accessions):
+def _test_rows(args, aspect, records, test_accessions):
+    """The test-side records labelled for `aspect`, and their label bits."""
     labels = _labels_for(args.dataset, aspect)
     rows = [r for r in records if r.accession in labels and r.accession in test_accessions]
     if not rows:
         raise metrics.MetricsError(f"empty test set for aspect {aspect.value}")
+    return rows, np.stack([labels[r.accession] for r in rows])
+
+
+def _scores_from_checkpoints(args, aspect, rows, vocabs, meta):
     model = ckpt_io.load_checkpoint(_aspect_path(args.model, aspect)).to_model()
     if model.config.num_labels != len(vocabs[aspect]):
         raise ModelError(
             f"checkpoint expects {model.config.num_labels} labels but the "
             f"{aspect.value} vocabulary has {len(vocabs[aspect])} terms"
         )
-    from .autodiff import sigmoid
-    from .model import pad_batch
-
-    scores = []
-    for start in range(0, len(rows), args.batch_size):
-        chunk = rows[start : start + args.batch_size]
-        seqs = [ingest.tokenize(r.sequence, meta["max_len"]) for r in chunk]
-        ids, mask = pad_batch(seqs)
-        scores.append(sigmoid(model.forward_classify(ids, mask).data))
-    scores = np.concatenate(scores, axis=0)
-    targets = np.stack([labels[r.accession] for r in rows])
-    lengths = [len(r.sequence) for r in rows]
-    return scores, targets, lengths
+    tokens = [ingest.tokenize(r.sequence, meta["max_len"]) for r in rows]
+    return model.score(tokens, args.batch_size)
 
 
-def _scores_from_predictions(args, aspect, records, vocabs, test_accessions):
-    labels = _labels_for(args.dataset, aspect)
-    rows = [r for r in records if r.accession in labels and r.accession in test_accessions]
-    if not rows:
-        raise metrics.MetricsError(f"empty test set for aspect {aspect.value}")
-    index = vocabs[aspect].index()
-    by_accession = {r.accession: i for i, r in enumerate(rows)}
-    scores = np.zeros((len(rows), len(index)))
-    with open(args.predictions, "r", encoding="utf-8") as fh:
+def _read_predictions(path) -> dict:
+    """aspect code -> [(accession, go_id, score text)] from a predictions TSV;
+    the placeholder lines of empty prediction sets are skipped."""
+    by_aspect = {}
+    with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             cols = line.rstrip("\n").split("\t")
             if len(cols) != 4 or cols[1] == "-":
                 continue
-            accession, go_id, asp, score = cols
-            if asp != aspect.value or accession not in by_accession or go_id not in index:
-                continue
-            scores[by_accession[accession], index[go_id]] = float(score)
-    targets = np.stack([labels[r.accession] for r in rows])
-    lengths = [len(r.sequence) for r in rows]
-    return scores, targets, lengths
+            accession, go_id, aspect, score = cols
+            by_aspect.setdefault(aspect, []).append((accession, go_id, score))
+    return by_aspect
+
+
+def _scores_from_predictions(lines, rows, vocab):
+    index = vocab.index()
+    row_of = {r.accession: i for i, r in enumerate(rows)}
+    scores = np.zeros((len(rows), len(index)))
+    for accession, go_id, score in lines:
+        if accession in row_of and go_id in index:
+            scores[row_of[accession], index[go_id]] = float(score)
+    return scores
 
 
 def cmd_evaluate(args) -> int:
@@ -378,25 +361,30 @@ def cmd_evaluate(args) -> int:
     if not args.model and not args.predictions:
         raise metrics.MetricsError("evaluate needs --model or --predictions")
 
+    predictions = _read_predictions(args.predictions) if args.predictions else None
     outputs = []
     thresholds = args.threshold
     reports = {}
     for aspect in ingest.ASPECTS:
-        if args.predictions:
-            scores, targets, lengths = _scores_from_predictions(args, aspect, records, vocabs, test_accessions)
+        rows, targets = _test_rows(args, aspect, records, test_accessions)
+        if predictions is not None:
+            scores = _scores_from_predictions(predictions.get(aspect.value, []), rows, vocabs[aspect])
         else:
-            scores, targets, lengths = _scores_from_checkpoints(args, aspect, records, vocabs, meta, test_accessions)
+            scores = _scores_from_checkpoints(args, aspect, rows, vocabs, meta)
         try:
             curve = metrics.micro_roc(scores, targets)
+        except metrics.MetricsError:
+            auc = None
+        else:
+            auc = curve.auc
             metrics.write_roc_csv(curve, out / f"roc_{aspect.value}.csv")
             outputs.append(out / f"roc_{aspect.value}.csv")
-        except metrics.MetricsError:
-            curve = None
-        for t in thresholds:
-            report = metrics.aspect_report(scores, targets, lengths, t, args.bucket_width)
+        lengths = [len(r.sequence) for r in rows]
+        slas = [metrics.length_analysis(lengths, scores, targets, t) for t in thresholds]
+        for t, sla in zip(thresholds, slas):
+            report = metrics.aspect_report(scores, targets, t, auc, sla)
             reports.setdefault(_threshold_key(t), {})[aspect.value] = report
-        sla = metrics.length_analysis(lengths, scores, targets, thresholds[0], args.bucket_width)
-        metrics.write_sla_csv(sla, out / f"sla_{aspect.value}.csv")
+        metrics.write_sla_csv(slas[0], out / f"sla_{aspect.value}.csv")
         outputs.append(out / f"sla_{aspect.value}.csv")
 
     for key, per_aspect in reports.items():
@@ -449,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--quiet", action="store_true")
-    common.add_argument("--config", default=None, help="JSON config file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -460,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=1000, dest="max_len")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("split", parents=[common], help="random 8:1:1 or clustered split")
+    p = sub.add_parser("split", parents=[common], help="8:1:1 split, at random or by whole clusters")
     p.add_argument("--dataset", required=True)
     p.add_argument("--kind", choices=("random", "clustered"), required=True)
     p.add_argument("--identity-threshold", type=float, default=0.5, dest="identity_threshold")
@@ -470,12 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("pretrain", cmd_pretrain), ("finetune", cmd_finetune)):
         p = sub.add_parser(name, parents=[common], help=f"{name} aspect models")
         p.add_argument("--dataset", required=True)
+        p.add_argument("--config", default=None, help="JSON training config")
         p.add_argument("--split", default=None, help="split directory; restricts to its train side")
         p.add_argument("--aspect", choices=("BP", "MF", "CC", "all"), default="all")
         p.add_argument("--resume", default=None,
                        help="checkpoint to resume (may contain an {aspect} slot)")
         p.add_argument("--model-config", default=None, dest="model_config")
-        p.add_argument("--parallel-aspects", action="store_true", dest="parallel_aspects")
         if name == "finetune":
             p.add_argument("--init", default=None,
                            help="pretrained checkpoint to start from (fresh optimizer)")
@@ -498,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint path with an {aspect} slot, e.g. run/model_{aspect}.ckpt")
     p.add_argument("--predictions", default=None, help="prediction TSV to evaluate instead of models")
     p.add_argument("--threshold", type=float, nargs="+", default=[0.5])
-    p.add_argument("--bucket-width", type=int, default=100, dest="bucket_width")
-    p.add_argument("--batch-size", type=int, default=16, dest="batch_size")
+    p.add_argument("--batch-size", type=int, default=16, dest="batch_size",
+                   help="most sequences scored at once; they are sorted by length first")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("verify", parents=[common], help="re-hash a manifest's inputs")

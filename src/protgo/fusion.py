@@ -5,11 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .autodiff import sigmoid
-from .ingest import ASPECTS, GoAspect, IngestError, LabelVocabulary, tokenize
-from .model import ProteinEncoder, pad_batch
+from .ingest import ASPECTS, IngestError, _check_sequence, tokenize
 
 
 class FusionError(ValueError):
@@ -49,12 +45,10 @@ class FusionModel:
 
     def predict(self, sequence: str, accession: str = "-") -> Prediction:
         tokens = tokenize(sequence, self._max_len)
-        ids, mask = pad_batch([tokens])
         scores = {}
         terms = []
         for aspect in ASPECTS:
-            logits = self.models[aspect].forward_classify(ids, mask).data[0]
-            probs = sigmoid(logits)
+            probs = self.models[aspect].score([tokens], 1)[0]
             scores[aspect] = probs
             vocab = self.vocabs[aspect]
             for i, go_id in enumerate(vocab.terms):
@@ -98,14 +92,7 @@ def _parse_prediction_line(line: str, line_no: int):
     cols = line.split("\t")
     if len(cols) not in (2, 3):
         raise IngestError(f"expected 2 or 3 tab-separated columns, got {len(cols)}")
-    accession, sequence = cols[0], cols[1].upper()
+    accession = cols[0]
     if not accession:
         raise IngestError("empty accession")
-    from .ingest import RESIDUE_ALPHABET
-
-    if not sequence:
-        raise IngestError("empty sequence")
-    for ch in sequence:
-        if ch not in RESIDUE_ALPHABET:
-            raise IngestError(f"unknown residue '{ch}'")
-    return accession, sequence
+    return accession, _check_sequence(cols[1], line_no)

@@ -189,13 +189,6 @@ def parse_fasta_tsv(fasta_path, annotations_path) -> list:
     return [ProteinRecord(a, s, frozenset(by_accession[a])) for a, s in entries]
 
 
-def parse_records(path, fasta=None) -> list:
-    """Entry point: TSV by default, FASTA + annotation TSV when `fasta` given."""
-    if fasta is not None:
-        return parse_fasta_tsv(fasta, path)
-    return parse_tsv(path)
-
-
 def filter_unannotated(records) -> list:
     return [r for r in records if r.annotations]
 

@@ -25,6 +25,22 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Write `data` to a temp file beside `path`, then rename it over `path`,
+    so `path` always holds either the old file or the whole new one. A write
+    that raises removes the temp file."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_manifest(out_dir, command: str, config: dict, seed, inputs, outputs,
                    started: float, extra: dict | None = None) -> Path:
     out_dir = Path(out_dir)
@@ -34,7 +50,6 @@ def write_manifest(out_dir, command: str, config: dict, seed, inputs, outputs,
         "config": config,
         "seed": seed,
         "artifact_version": ARTIFACT_VERSION,
-        "threads": os.environ.get("PROTGO_THREADS"),
         "input_digests": {str(p): sha256_file(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "started": started,
@@ -43,16 +58,7 @@ def write_manifest(out_dir, command: str, config: dict, seed, inputs, outputs,
     if extra:
         manifest.update(extra)
     path = out_dir / "manifest.json"
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".manifest", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return path
 
 

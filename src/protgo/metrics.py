@@ -9,6 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# length buckets are BUCKET_WIDTH residues wide; lengths from OVERFLOW_AT on
+# share the last bucket
+BUCKET_WIDTH = 100
+OVERFLOW_AT = 2000
+
+
 class MetricsError(ValueError):
     pass
 
@@ -89,30 +95,19 @@ def micro_roc(scores, targets) -> RocCurve:
         raise MetricsError("ROC undefined: targets are all-positive or all-negative")
     order = np.argsort(-flat_scores, kind="stable")
     sorted_scores = flat_scores[order]
-    sorted_bits = flat_bits[order]
-    fpr = [0.0]
-    tpr = [0.0]
-    thresholds = [float("inf")]
-    tp = fp = 0
-    i = 0
-    n = flat_bits.size
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_bits[i:j].sum())
-        fp += (j - i) - int(sorted_bits[i:j].sum())
-        fpr.append(fp / n_neg)
-        tpr.append(tp / n_pos)
-        thresholds.append(float(sorted_scores[i]))
-        i = j
-    trapezoid = getattr(np, "trapezoid", np.trapz)
-    auc = float(trapezoid(tpr, fpr))
-    return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds, auc=auc)
+    # one curve point after the last cell of each run of equal scores
+    ends = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), flat_bits.size - 1)
+    tp = np.cumsum(flat_bits[order])[ends]
+    fp = ends + 1 - tp
+    fpr = np.concatenate(([0.0], fp / n_neg))
+    tpr = np.concatenate(([0.0], tp / n_pos))
+    # the trapezoid rule, written out so no numpy-version shim is needed
+    auc = float((np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
+    thresholds = [float("inf")] + sorted_scores[ends].tolist()
+    return RocCurve(fpr=fpr.tolist(), tpr=tpr.tolist(), thresholds=thresholds, auc=auc)
 
 
-def length_analysis(original_lengths, scores, targets, threshold: float = 0.5,
-                    bucket_width: int = 100, overflow_at: int = 2000) -> LengthBucketReport:
+def length_analysis(original_lengths, scores, targets, threshold: float = 0.5) -> LengthBucketReport:
     """Per-length-bucket subset accuracy; records bucketed by their
     pre-truncation residue count."""
     scores, targets = _check_shapes(scores, targets)
@@ -121,23 +116,25 @@ def length_analysis(original_lengths, scores, targets, threshold: float = 0.5,
         raise MetricsError(f"{len(lengths)} lengths for {scores.shape[0]} score rows")
     predicted = scores >= threshold
     correct = np.all(predicted == targets, axis=-1)
-    edges = list(range(0, overflow_at, bucket_width)) + [overflow_at]
+    edges = list(range(0, OVERFLOW_AT, BUCKET_WIDTH)) + [OVERFLOW_AT]
     counts = [0] * len(edges)
     hits = [0] * len(edges)
     for length, ok in zip(lengths, correct):
-        idx = min(length // bucket_width, len(edges) - 1)
+        idx = min(length // BUCKET_WIDTH, len(edges) - 1)
         counts[idx] += 1
         hits[idx] += int(ok)
     accuracies = [hits[i] / counts[i] if counts[i] else None for i in range(len(edges))]
     return LengthBucketReport(edges=edges, counts=counts, accuracies=accuracies)
 
 
-def aspect_report(scores, targets, original_lengths=None, threshold: float = 0.5,
-                  bucket_width: int = 100) -> dict:
-    """All headline metrics for one aspect, JSON-ready."""
+def aspect_report(scores, targets, threshold: float, auc, sla: LengthBucketReport) -> dict:
+    """All headline metrics for one aspect at one threshold, JSON-ready.
+    `auc` (None where the ROC is undefined) does not depend on the threshold,
+    so callers compute it once per aspect; `sla` is this threshold's
+    length_analysis."""
     counts = confusion(scores, targets, threshold)
     p, r, f1 = prf1(counts)
-    report = {
+    return {
         "threshold": threshold,
         "subset_accuracy": subset_accuracy(scores, targets, threshold),
         "micro_accuracy": micro_accuracy(counts),
@@ -145,21 +142,15 @@ def aspect_report(scores, targets, original_lengths=None, threshold: float = 0.5
         "recall": r,
         "f1": f1,
         "confusion": {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn},
-    }
-    try:
-        report["auc"] = micro_roc(scores, targets).auc
-    except MetricsError:
-        report["auc"] = None
-    if original_lengths is not None:
-        sla = length_analysis(original_lengths, scores, targets, threshold, bucket_width)
-        report["length_buckets"] = [
+        "auc": auc,
+        "length_buckets": [
             {"lo": sla.edges[i],
              "hi": (sla.edges[i + 1] if i + 1 < len(sla.edges) else None),
              "count": sla.counts[i],
              "accuracy": sla.accuracies[i]}
             for i in range(len(sla.edges))
-        ]
-    return report
+        ],
+    }
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:

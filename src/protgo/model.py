@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .ingest import PAD_ID, VOCAB_SIZE, TokenSequence
+from .ingest import PAD_ID, VOCAB_SIZE
 
 
 class ModelError(ValueError):
@@ -238,13 +238,21 @@ class ProteinEncoder:
         h = self.encode(ids, pad_mask, drop_rng)
         return ad.add(ad.matmul(h, self.params["mlm_head.w"]), self.params["mlm_head.b"])
 
-    def classify_sequence(self, tokens: TokenSequence) -> np.ndarray:
-        """Single-sequence inference; returns raw logits as a numpy vector."""
-        ids, mask = pad_batch([tokens])
-        return self.forward_classify(ids, mask).data[0]
-
-    def param_arrays(self) -> dict:
-        return {k: v.data for k, v in self.params.items()}
+    def score(self, tokens, batch_size: int) -> np.ndarray:
+        """Sigmoid label scores [N, num_labels] for N TokenSequences, rows in
+        input order. Sequences are sorted by length (stable) and scored in
+        chunks of at most batch_size, so a chunk pads only to its own longest
+        member; no autodiff graph is kept."""
+        if batch_size < 1:
+            raise ModelError(f"batch_size must be >= 1, got {batch_size}")
+        order = np.argsort([len(t.ids) for t in tokens], kind="stable")
+        out = np.empty((len(tokens), self.config.num_labels))
+        with ad.no_grad():
+            for start in range(0, len(order), batch_size):
+                rows = order[start : start + batch_size]
+                ids, mask = pad_batch([tokens[i] for i in rows])
+                out[rows] = ad.sigmoid(self.forward_classify(ids, mask).data)
+        return out
 
 
 def pad_batch(sequences) -> tuple:

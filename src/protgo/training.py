@@ -8,7 +8,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class PretrainConfig:
     learning_rate: float = 0.002
     weight_decay: float = 0.01
     grad_accumulation: int = 1
-    lr_schedule: str = "constant"  # "constant" | "linear"
     seed: int = 0
 
     def __post_init__(self):
@@ -46,16 +45,9 @@ class FinetuneConfig:
     learning_rate: float = 5e-4
     weight_decay: float = 0.0
     grad_accumulation: int = 32
-    threshold: float = 0.5
-    loss_kind: str = "bce"  # "bce" | "categorical"
-    lr_schedule: str = "constant"
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise TrainingError(f"threshold out of [0,1]: {self.threshold}")
-        if self.loss_kind not in ("bce", "categorical"):
-            raise TrainingError(f"unknown loss_kind '{self.loss_kind}'")
         _validate_common(self)
 
 
@@ -70,8 +62,6 @@ def _validate_common(cfg):
         raise TrainingError(f"learning_rate must be positive, got {cfg.learning_rate}")
     if cfg.weight_decay < 0:
         raise TrainingError(f"weight_decay must be non-negative, got {cfg.weight_decay}")
-    if cfg.lr_schedule not in ("constant", "linear"):
-        raise TrainingError(f"unknown lr_schedule '{cfg.lr_schedule}'")
 
 
 @dataclass
@@ -114,12 +104,11 @@ def mlm_loss(logits: ad.Tensor, targets) -> ad.Tensor:
     return ad.nll_from_logits(logits, flat_pos, flat_ids)
 
 
-def finetune_loss(logits: ad.Tensor, targets: np.ndarray, kind: str = "bce") -> ad.Tensor:
+def finetune_loss(logits: ad.Tensor, targets: np.ndarray) -> ad.Tensor:
+    """Mean binary cross-entropy: GO annotation is multi-label."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != logits.shape:
         raise TrainingError(f"target shape {targets.shape} does not match logits {logits.shape}")
-    if kind == "categorical":
-        return ad.categorical_ce_from_logits(logits, targets)
     return ad.bce_with_logits(logits, targets)
 
 
@@ -204,15 +193,6 @@ def train_loop(model: ProteinEncoder, data, config, mode: str,
         adam_state = AdamState(model.params)
     records: list = []
     step = adam_state.step
-    micro_per_epoch = (len(data) + config.batch_size - 1) // config.batch_size
-    steps_per_epoch = (micro_per_epoch + config.grad_accumulation - 1) // config.grad_accumulation
-    total_steps = max(1, config.epochs * steps_per_epoch)
-
-    def current_lr():
-        if config.lr_schedule == "linear":
-            return config.learning_rate * max(0.0, 1.0 - adam_state.step / total_steps)
-        return config.learning_rate
-
     last_ckpt = None
     for epoch in range(start_epoch, config.epochs):
         rng = _epoch_rng(config.seed, epoch)
@@ -223,8 +203,8 @@ def train_loop(model: ProteinEncoder, data, config, mode: str,
 
         def flush():
             nonlocal pending, acc_loss, step
-            adam_step(model.params, adam_state, current_lr(),
-                      weight_decay=getattr(config, "weight_decay", 0.0))
+            adam_step(model.params, adam_state, config.learning_rate,
+                      weight_decay=config.weight_decay)
             model.zero_grads()
             step += 1
             rec = LossRecord(step=step, epoch=epoch, loss=acc_loss, aspect=aspect)
@@ -252,7 +232,7 @@ def train_loop(model: ProteinEncoder, data, config, mode: str,
                 ids, mask = pad_batch(seqs)
                 drop_rng = rng if model.config.dropout > 0 else None
                 logits = model.forward_classify(ids, mask, drop_rng)
-                loss = finetune_loss(logits, labels, getattr(config, "loss_kind", "bce"))
+                loss = finetune_loss(logits, labels)
 
             loss_value = loss.item()
             if not np.isfinite(loss_value):
@@ -305,6 +285,3 @@ def config_from_json(data: dict, mode: str):
     except TypeError as exc:
         raise TrainingError(f"invalid training config: {exc}") from exc
 
-
-def config_to_json(config) -> dict:
-    return asdict(config)

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from protgo import autodiff as ad
+from protgo.model import pad_batch
+
 
 def finite_difference_grads(loss_fn, arrays, h=1e-5, sample=None, rng=None):
     """Central finite differences of loss_fn() w.r.t. entries of `arrays`
@@ -45,6 +48,32 @@ def pairwise_auc(scores, bits):
     return wins / (pos.size * neg.size)
 
 
+def roc_points_loop(scores, bits):
+    """(fpr, tpr, thresholds, auc) by the original per-tie-group loop: sort
+    by descending score (stable), step once per run of equal scores, and sum
+    the trapezoids one by one."""
+    scores = np.asarray(scores, dtype=float).ravel()
+    bits = np.asarray(bits, dtype=bool).ravel()
+    n_pos = int(bits.sum())
+    n_neg = bits.size - n_pos
+    order = np.argsort(-scores, kind="stable")
+    s, b = scores[order], bits[order]
+    fpr, tpr, thresholds = [0.0], [0.0], [float("inf")]
+    tp = fp = i = 0
+    while i < s.size:
+        j = i
+        while j < s.size and s[j] == s[i]:
+            j += 1
+        tp += int(b[i:j].sum())
+        fp += (j - i) - int(b[i:j].sum())
+        fpr.append(fp / n_neg)
+        tpr.append(tp / n_pos)
+        thresholds.append(float(s[i]))
+        i = j
+    auc = sum((fpr[k + 1] - fpr[k]) * (tpr[k + 1] + tpr[k]) / 2.0 for k in range(len(fpr) - 1))
+    return fpr, tpr, thresholds, auc
+
+
 def recount_terms(records, aspect):
     """Brute-force per-term annotation counts for one aspect."""
     counts = {}
@@ -59,3 +88,14 @@ def layer_norm_ref(x, eps=1e-12):
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mean) / np.sqrt(var + eps)
+
+
+def score_one_at_a_time(model, tokens):
+    """Sigmoid label scores the way predict computed them before batched
+    inference: each sequence padded on its own, the forward pass run with the
+    autodiff graph on, then the sigmoid."""
+    rows = []
+    for t in tokens:
+        ids, mask = pad_batch([t])
+        rows.append(ad.sigmoid(model.forward_classify(ids, mask).data[0]))
+    return np.stack(rows)

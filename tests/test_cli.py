@@ -78,6 +78,14 @@ class TestSplit:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["leaking_clusters"] == 0
 
+    def test_clustered_sides_are_8_1_1(self, tmp_path, dataset):
+        # the 40 fixture records share no 5-mers, so every cluster is a singleton
+        out = tmp_path / "sc"
+        assert main(["split", "--dataset", str(dataset), "--kind", "clustered",
+                     "--seed", "1", "--out", str(out), "--quiet"]) == 0
+        counts = json.loads((out / "split.json").read_text())["counts"]
+        assert (counts["train"], counts["dev"], counts["test"]) == (32, 4, 4)
+
     def test_unknown_kind_usage_error(self, tmp_path, dataset):
         with pytest.raises(SystemExit) as exc:
             main(["split", "--dataset", str(dataset), "--kind", "bogus", "--quiet"])
@@ -106,13 +114,14 @@ class TestTrainCommands:
                    "--out", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
 
-    def test_parallel_aspects_matches_serial(self, tmp_path, dataset, monkeypatch):
-        monkeypatch.setenv("PROTGO_THREADS", "2")
-        serial = _finetune(tmp_path, dataset, out_name="serial")
-        parallel = _finetune(tmp_path, dataset, out_name="parallel", extra=["--parallel-aspects"])
-        for aspect in ("BP", "MF", "CC"):
-            assert (serial / f"model_{aspect}.ckpt").read_bytes() == \
-                (parallel / f"model_{aspect}.ckpt").read_bytes()
+    @pytest.mark.parametrize("field, value", [
+        ("loss_kind", "categorical"), ("lr_schedule", "linear"), ("threshold", 0.5),
+    ])
+    def test_removed_config_fields_rejected(self, tmp_path, dataset, field, value):
+        cfg = _write(tmp_path / "old.json", {**FT_JSON, field: value})
+        rc = main(["finetune", "--dataset", str(dataset), "--config", cfg,
+                   "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
 
     def test_resume_continues_step_count(self, tmp_path, dataset):
         model_cfg = _write(tmp_path / "model.json", MODEL_JSON)
@@ -220,6 +229,18 @@ class TestEvaluateCommand:
         for aspect in ("BP", "MF", "CC"):
             assert (out / f"roc_{aspect}.csv").read_text().startswith("fpr,tpr,threshold")
             assert (out / f"sla_{aspect}.csv").read_text().startswith("bucket_lo,bucket_hi,count,accuracy")
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--dataset", "ds", "--predictions", "p.tsv", "--bucket-width", "50"],
+        ["preprocess", "corpus.tsv", "--config", "x.json"],
+        ["finetune", "--dataset", "ds", "--parallel-aspects"],
+    ])
+    def test_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--quiet"])
+        assert exc.value.code == 2
 
 
 class TestVerify:

@@ -6,7 +6,7 @@ from protgo.metrics import (
     ConfusionCounts, MetricsError, confusion, length_analysis, micro_accuracy,
     micro_roc, prf1, subset_accuracy,
 )
-from oracles import pairwise_auc
+from oracles import pairwise_auc, roc_points_loop
 
 # published (precision, recall, f1) rows: 3 models x 3 aspects x 2 splits
 PUBLISHED_PRF = [
@@ -105,6 +105,18 @@ class TestMicroRoc:
         scores = np.array([0.9, 0.8, 0.2, 0.1])
         bits = np.array([1, 1, 0, 0])
         assert micro_roc(scores, bits).auc == 1.0
+
+    @pytest.mark.parametrize("shape, levels", [((50,), 10), ((100, 50), 1000), ((400, 500), 0)])
+    def test_matches_loop_oracle(self, shape, levels):
+        rng = np.random.default_rng(sum(shape))
+        scores = rng.random(shape)
+        if levels:  # quantized scores force ties
+            scores = np.round(scores * levels) / levels
+        bits = rng.random(shape) < 0.3
+        curve = micro_roc(scores, bits)
+        fpr, tpr, thresholds, auc = roc_points_loop(scores, bits)
+        assert (curve.fpr, curve.tpr, curve.thresholds) == (fpr, tpr, thresholds)
+        assert curve.auc == pytest.approx(auc, abs=1e-12)
 
     def test_all_ties_is_diagonal(self):
         curve = micro_roc(np.full(10, 0.5), np.array([1, 0] * 5))

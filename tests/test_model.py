@@ -8,7 +8,7 @@ from protgo.checkpoint import (
 from protgo.model import (
     FreezeMask, ModelConfig, ModelError, ProteinEncoder, pad_batch, parameter_groups,
 )
-from oracles import layer_norm_ref
+from oracles import layer_norm_ref, score_one_at_a_time
 
 DESK = ModelConfig(num_layers=2, d_model=8, num_heads=2, d_ff=16, max_len=16,
                    num_labels=4, dropout=0.0)
@@ -125,6 +125,24 @@ class TestForwardClassify:
         assert time.time() - start < 1.0
 
 
+class TestScore:
+    @pytest.mark.parametrize("batch_size", [1, 4, 16])
+    def test_matches_one_at_a_time_oracle(self, batch_size):
+        m = _model(seed=4, max_len=64)
+        rng = np.random.default_rng(batch_size)
+        residues = list("ACDEFGHIKLMNPQRSTVWY")
+        tokens = [ingest.tokenize("".join(rng.choice(residues, size=int(n))), 64)
+                  for n in rng.integers(1, 90, size=200)]  # some truncated to 64
+        got = m.score(tokens, batch_size)
+        np.testing.assert_allclose(got, score_one_at_a_time(m, tokens), rtol=0, atol=1e-9)
+
+    def test_empty_and_bad_batch_size(self):
+        m = _model()
+        assert m.score([], 4).shape == (0, DESK.num_labels)
+        with pytest.raises(ModelError):
+            m.score([ingest.tokenize("MKV", 16)], 0)
+
+
 class TestForwardMlm:
     def test_copying_weights_gives_identical_logits(self):
         a = _model(seed=1)
@@ -203,6 +221,39 @@ class TestCheckpoint:
         path.write_bytes(blob[:-1])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        import os
+
+        from protgo import manifest
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(checkpoint_from_model(_model(seed=1), FreezeMask.none(DESK)), path)
+        before = path.read_bytes()
+        real_fdopen = os.fdopen
+
+        class HalfWriter:
+            """Writes half of what it is given, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(manifest.os, "fdopen", lambda fd, mode: HalfWriter(real_fdopen(fd, mode)))
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(checkpoint_from_model(_model(seed=2), FreezeMask.none(DESK)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -112,11 +112,6 @@ class TestFinetuneLoss:
         with pytest.raises(TrainingError):
             finetune_loss(ad.parameter([[0.0, 0.0]]), np.array([[1.0, 0.0, 1.0]]))
 
-    def test_categorical_switch(self):
-        y = np.array([[1.0, 0.0, 0.0]])
-        loss = finetune_loss(ad.parameter([[0.0, 0.0, 0.0]]), y, kind="categorical")
-        assert loss.item() == pytest.approx(np.log(3), abs=1e-12)
-
 
 class TestAdam:
     def _single(self, value, grad):
