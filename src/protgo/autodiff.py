@@ -129,10 +129,6 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def constant(data):
-    return Tensor(data)
-
-
 def parameter(data):
     return Tensor(data, requires_grad=True)
 
@@ -185,15 +181,10 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def tensor_sum(a: Tensor) -> Tensor:
-    shape = a.shape
-    return _make(np.array(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def backward(g):
         dot = (g * out).sum(axis=axis, keepdims=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manifest import atomic_write
-from .model import FreezeMask, ModelConfig, ProteinEncoder
+from .model import FreezeMask, ModelConfig, ProteinEncoder, check_params
 
 MAGIC = b"PGO1"
 FORMAT_VERSION = 1
@@ -118,16 +118,14 @@ def load_checkpoint(path) -> Checkpoint:
             "v": {k[len("adam.v."):]: v for k, v in arrays.items() if k.startswith("adam.v.")},
         }
     config = ModelConfig.from_dict(header["config"])
-    ckpt = Checkpoint(
+    check_params(config, params)
+    return Checkpoint(
         config=config,
         params=params,
         freeze_mask=FreezeMask(dict(header["freeze_mask"])),
         optimizer_state=optimizer_state,
         rng_state=dict(header["rng_state"]),
     )
-    # shape validation against the embedded config happens in ProteinEncoder
-    ProteinEncoder(config, params=params)
-    return ckpt
 
 
 def checkpoint_from_model(model: ProteinEncoder, freeze_mask: FreezeMask,

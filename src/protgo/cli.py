@@ -62,13 +62,12 @@ def _load_dataset(dataset_dir):
     return records, vocabs, meta
 
 
-def _labels_for(dataset_dir, aspect):
-    labels = {}
-    with open(Path(dataset_dir) / f"labels_{aspect.value}.tsv", "r", encoding="utf-8") as fh:
-        for line in fh:
-            accession, bits = line.rstrip("\n").split("\t")
-            labels[accession] = np.array([int(b) for b in bits], dtype=np.int8)
-    return labels
+def _labelled(records, vocab, accessions=None):
+    """The records among `accessions` (all when None) that carry a term of
+    the vocabulary's aspect, in input order, and their label vectors."""
+    rows = [r for r in records
+            if (accessions is None or r.accession in accessions) and r.terms(vocab.aspect)]
+    return rows, [ingest.encode_labels(r, vocab) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +95,7 @@ def cmd_preprocess(args) -> int:
         vocab = ingest.build_vocabulary(records, aspect, args.top_k)
         ingest.write_vocabulary(vocab, out / f"vocab_{aspect.value}.tsv")
         outputs.append(out / f"vocab_{aspect.value}.tsv")
-        with open(out / f"labels_{aspect.value}.tsv", "w", encoding="utf-8") as fh:
-            n = 0
-            for r in records:
-                if r.terms(aspect):
-                    bits = ingest.encode_labels(r, vocab)
-                    fh.write(r.accession + "\t" + "".join(str(int(b)) for b in bits) + "\n")
-                    n += 1
-        outputs.append(out / f"labels_{aspect.value}.tsv")
-        counts[aspect.value] = n
+        counts[aspect.value] = sum(1 for r in records if r.terms(aspect))
     meta = {"top_k": args.top_k, "max_len": args.max_len,
             "num_records": len(records), "per_aspect_records": counts}
     with open(out / "dataset.json", "w", encoding="utf-8") as fh:
@@ -179,54 +170,48 @@ def _derive_seed(master: int, aspect) -> int:
     return int(np.random.SeedSequence([master, order[aspect]]).generate_state(1)[0])
 
 
+def _loss_rows_upto(path, step) -> str:
+    """The rows of a loss CSV up to optimizer step `step`. A run killed
+    mid-epoch logged steps beyond its last checkpoint, which resuming replays."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = fh.readlines()[1:]
+    steps = [r.split(",", 1)[0] for r in rows]
+    return "".join(r for r, s in zip(rows, steps) if r.endswith("\n") and s.isdigit() and int(s) <= step)
+
+
 def _train_one_aspect(args, mode, aspect, records, vocabs, meta, out):
     cfg = _load_train_config(args, mode)
     cfg.seed = _derive_seed(cfg.seed, aspect)
     max_len = meta["max_len"]
 
-    resume_ckpt = None
-    if args.resume:
-        resume_ckpt = ckpt_io.load_checkpoint(_aspect_path(args.resume, aspect))
-        model = resume_ckpt.to_model()
-        model_config = model.config
-    elif getattr(args, "init", None):
-        init_ckpt = ckpt_io.load_checkpoint(_aspect_path(args.init, aspect))
-        model = init_ckpt.to_model()
-        model_config = model.config
+    source = args.resume or getattr(args, "init", None)
+    if source:
+        loaded = ckpt_io.load_checkpoint(_aspect_path(source, aspect))
+        model = loaded.to_model()
     else:
-        model_config = _load_model_config(args, len(vocabs[aspect]), max_len)
-        model = ProteinEncoder(model_config, seed=cfg.seed)
+        model = ProteinEncoder(_load_model_config(args, len(vocabs[aspect]), max_len), seed=cfg.seed)
 
+    wanted = _split_side(args, "train")
     if mode == "finetune":
-        if model.config.num_labels != len(vocabs[aspect]):
-            raise ModelError(
-                f"checkpoint expects {model.config.num_labels} labels but the "
-                f"{aspect.value} vocabulary has {len(vocabs[aspect])} terms"
-            )
-        labels = _labels_for(args.dataset, aspect)
-        wanted = _split_side(args, "train")
-        data = []
-        for r in records:
-            if r.accession in labels and (wanted is None or r.accession in wanted):
-                data.append((ingest.tokenize(r.sequence, max_len), labels[r.accession]))
+        fusion_mod.check_labels(model, vocabs[aspect])
+        rows, labels = _labelled(records, vocabs[aspect], wanted)
+        data = [(ingest.tokenize(r.sequence, max_len), y) for r, y in zip(rows, labels)]
         freeze = FreezeMask.default_finetune(model.config) if args.freeze == "default" \
             else FreezeMask.none(model.config)
     else:
-        wanted = _split_side(args, "train")
         data = [ingest.tokenize(r.sequence, max_len) for r in records
                 if wanted is None or r.accession in wanted]
         freeze = FreezeMask.none(model.config)
 
-    start_epoch, adam_state = 0, None
-    if resume_ckpt is not None:
-        start_epoch, adam_state = training.resume_state(resume_ckpt, model)
-
     ckpt_path = out / f"model_{aspect.value}.ckpt"
     loss_path = out / f"loss_{aspect.value}.csv"
-    log_mode = "a" if resume_ckpt is not None and loss_path.exists() else "w"
-    with open(loss_path, log_mode, encoding="utf-8") as log:
-        if log_mode == "w":
-            log.write("step,epoch,aspect,loss\n")
+    start_epoch, adam_state, kept = 0, None, ""
+    if args.resume:
+        start_epoch, adam_state = training.resume_state(loaded, model)
+        if loss_path.exists():
+            kept = _loss_rows_upto(loss_path, adam_state.step)
+    with open(loss_path, "w", encoding="utf-8") as log:
+        log.write("step,epoch,aspect,loss\n" + kept)
         final_ckpt, records_out = training.train_loop(
             model, data, cfg, mode, freeze_mask=freeze,
             checkpoint_path=ckpt_path, loss_log=log, aspect=aspect.value,
@@ -304,22 +289,9 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _test_rows(args, aspect, records, test_accessions):
-    """The test-side records labelled for `aspect`, and their label bits."""
-    labels = _labels_for(args.dataset, aspect)
-    rows = [r for r in records if r.accession in labels and r.accession in test_accessions]
-    if not rows:
-        raise metrics.MetricsError(f"empty test set for aspect {aspect.value}")
-    return rows, np.stack([labels[r.accession] for r in rows])
-
-
 def _scores_from_checkpoints(args, aspect, rows, vocabs, meta):
     model = ckpt_io.load_checkpoint(_aspect_path(args.model, aspect)).to_model()
-    if model.config.num_labels != len(vocabs[aspect]):
-        raise ModelError(
-            f"checkpoint expects {model.config.num_labels} labels but the "
-            f"{aspect.value} vocabulary has {len(vocabs[aspect])} terms"
-        )
+    fusion_mod.check_labels(model, vocabs[aspect])
     tokens = [ingest.tokenize(r.sequence, meta["max_len"]) for r in rows]
     return model.score(tokens, args.batch_size)
 
@@ -366,7 +338,10 @@ def cmd_evaluate(args) -> int:
     thresholds = args.threshold
     reports = {}
     for aspect in ingest.ASPECTS:
-        rows, targets = _test_rows(args, aspect, records, test_accessions)
+        rows, labels = _labelled(records, vocabs[aspect], test_accessions)
+        if not rows:
+            raise metrics.MetricsError(f"empty test set for aspect {aspect.value}")
+        targets = np.stack(labels)
         if predictions is not None:
             scores = _scores_from_predictions(predictions.get(aspect.value, []), rows, vocabs[aspect])
         else:

@@ -19,6 +19,15 @@ class Prediction:
     predicted_terms: list  # (go_id, GoAspect, score), score >= threshold
 
 
+def check_labels(model, vocab) -> None:
+    """FusionError unless the model scores one label per vocabulary term."""
+    if model.config.num_labels != len(vocab):
+        raise FusionError(
+            f"aspect {vocab.aspect.value}: model has {model.config.num_labels} labels "
+            f"but vocabulary has {len(vocab)} terms"
+        )
+
+
 class FusionModel:
     def __init__(self, models: dict, vocabs: dict, threshold: float = 0.5):
         for aspect in ASPECTS:
@@ -26,13 +35,7 @@ class FusionModel:
                 raise FusionError(f"missing model for aspect {aspect.value}")
             if aspect not in vocabs:
                 raise FusionError(f"missing vocabulary for aspect {aspect.value}")
-            model = models[aspect]
-            vocab = vocabs[aspect]
-            if model.config.num_labels != len(vocab):
-                raise FusionError(
-                    f"aspect {aspect.value}: model has {model.config.num_labels} labels "
-                    f"but vocabulary has {len(vocab)} terms"
-                )
+            check_labels(models[aspect], vocabs[aspect])
         self.models = dict(models)
         self.vocabs = dict(vocabs)
         self.set_threshold(threshold)

@@ -33,7 +33,6 @@ TOKEN_VOCAB = {"<pad>": PAD_ID, "<cls>": CLS_ID, "<sep>": SEP_ID, "<mask>": MASK
 for _i, _c in enumerate(RESIDUE_ALPHABET):
     TOKEN_VOCAB[_c] = 5 + _i
 VOCAB_SIZE = len(TOKEN_VOCAB)  # 30
-ID_TO_TOKEN = {v: k for k, v in TOKEN_VOCAB.items()}
 
 _GO_RE = re.compile(r"^GO:\d{7}$")
 
@@ -227,17 +226,6 @@ def tokenize(sequence: str, max_len: int = 1000) -> TokenSequence:
         ids.append(tid)
     ids.append(SEP_ID)
     return TokenSequence(ids=ids, original_length=len(sequence))
-
-
-def detokenize(tokens: TokenSequence) -> str:
-    """Inverse of tokenize for non-truncated, unmasked sequences."""
-    out = []
-    for tid in tokens.ids[1:-1]:
-        sym = ID_TO_TOKEN[tid]
-        if len(sym) != 1:
-            raise IngestError(f"cannot detokenize special token {sym}")
-        out.append(sym)
-    return "".join(out)
 
 
 def write_vocabulary(vocab: LabelVocabulary, path) -> None:

@@ -82,54 +82,68 @@ def group_of(name: str) -> str:
     return name.split(".")[0]
 
 
+def _param_shapes(c: ModelConfig) -> dict:
+    shapes = {
+        "token_embedding.weight": (c.vocab_size, c.d_model),
+        "positional_embedding.weight": (c.max_len + 2, c.d_model),
+        "segment_embedding.weight": (2, c.d_model),
+        "pooler.w": (c.d_model, c.d_model),
+        "pooler.b": (c.d_model,),
+        "classifier.w": (c.d_model, c.num_labels),
+        "classifier.b": (c.num_labels,),
+        "mlm_head.w": (c.d_model, c.vocab_size),
+        "mlm_head.b": (c.vocab_size,),
+    }
+    for i in range(c.num_layers):
+        p = f"layer_{i}."
+        shapes[p + "wq"] = (c.d_model, c.d_model)
+        shapes[p + "wk"] = (c.d_model, c.d_model)
+        shapes[p + "wv"] = (c.d_model, c.d_model)
+        shapes[p + "wo"] = (c.d_model, c.d_model)
+        shapes[p + "bq"] = (c.d_model,)
+        shapes[p + "bk"] = (c.d_model,)
+        shapes[p + "bv"] = (c.d_model,)
+        shapes[p + "bo"] = (c.d_model,)
+        shapes[p + "ffn_w1"] = (c.d_model, c.d_ff)
+        shapes[p + "ffn_b1"] = (c.d_ff,)
+        shapes[p + "ffn_w2"] = (c.d_ff, c.d_model)
+        shapes[p + "ffn_b2"] = (c.d_model,)
+        shapes[p + "ln1_gamma"] = (c.d_model,)
+        shapes[p + "ln1_beta"] = (c.d_model,)
+        shapes[p + "ln2_gamma"] = (c.d_model,)
+        shapes[p + "ln2_beta"] = (c.d_model,)
+    return shapes
+
+
+def check_params(config: ModelConfig, params: dict) -> None:
+    """ModelError unless `params` (name -> array) holds exactly the
+    parameters the config implies, each in its shape."""
+    expected = _param_shapes(config)
+    if set(params) != set(expected):
+        missing = sorted(set(expected) - set(params))
+        extra = sorted(set(params) - set(expected))
+        raise ModelError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
+    for name, shape in expected.items():
+        got = np.shape(params[name])
+        if got != shape:
+            raise ModelError(f"shape mismatch for '{name}': checkpoint has {got}, config expects {shape}")
+
+
 class ProteinEncoder:
     """Parameter container plus forward passes for one aspect model."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, params=None):
         self.config = config
         if params is not None:
+            check_params(config, params)
             self.params = {k: ad.parameter(v) for k, v in params.items()}
-            self._validate_shapes()
         else:
             self.params = self._init_params(seed)
-
-    def _expected_shapes(self) -> dict:
-        c = self.config
-        shapes = {
-            "token_embedding.weight": (c.vocab_size, c.d_model),
-            "positional_embedding.weight": (c.max_len + 2, c.d_model),
-            "segment_embedding.weight": (2, c.d_model),
-            "pooler.w": (c.d_model, c.d_model),
-            "pooler.b": (c.d_model,),
-            "classifier.w": (c.d_model, c.num_labels),
-            "classifier.b": (c.num_labels,),
-            "mlm_head.w": (c.d_model, c.vocab_size),
-            "mlm_head.b": (c.vocab_size,),
-        }
-        for i in range(c.num_layers):
-            p = f"layer_{i}."
-            shapes[p + "wq"] = (c.d_model, c.d_model)
-            shapes[p + "wk"] = (c.d_model, c.d_model)
-            shapes[p + "wv"] = (c.d_model, c.d_model)
-            shapes[p + "wo"] = (c.d_model, c.d_model)
-            shapes[p + "bq"] = (c.d_model,)
-            shapes[p + "bk"] = (c.d_model,)
-            shapes[p + "bv"] = (c.d_model,)
-            shapes[p + "bo"] = (c.d_model,)
-            shapes[p + "ffn_w1"] = (c.d_model, c.d_ff)
-            shapes[p + "ffn_b1"] = (c.d_ff,)
-            shapes[p + "ffn_w2"] = (c.d_ff, c.d_model)
-            shapes[p + "ffn_b2"] = (c.d_model,)
-            shapes[p + "ln1_gamma"] = (c.d_model,)
-            shapes[p + "ln1_beta"] = (c.d_model,)
-            shapes[p + "ln2_gamma"] = (c.d_model,)
-            shapes[p + "ln2_beta"] = (c.d_model,)
-        return shapes
 
     def _init_params(self, seed: int) -> dict:
         rng = np.random.Generator(np.random.PCG64(seed))
         params = {}
-        for name, shape in self._expected_shapes().items():
+        for name, shape in _param_shapes(self.config).items():
             if name.endswith("_gamma"):
                 data = np.ones(shape)
             elif name.endswith(("_beta", ".b", "bq", "bk", "bv", "bo", "ffn_b1", "ffn_b2")):
@@ -141,17 +155,6 @@ class ProteinEncoder:
                 data = rng.normal(0.0, 0.02, size=shape)
             params[name] = ad.parameter(data)
         return params
-
-    def _validate_shapes(self):
-        expected = self._expected_shapes()
-        if set(self.params) != set(expected):
-            missing = sorted(set(expected) - set(self.params))
-            extra = sorted(set(self.params) - set(expected))
-            raise ModelError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
-        for name, shape in expected.items():
-            got = self.params[name].shape
-            if got != shape:
-                raise ModelError(f"shape mismatch for '{name}': checkpoint has {got}, config expects {shape}")
 
     # -- freezing ---------------------------------------------------------
 
@@ -206,8 +209,9 @@ class ProteinEncoder:
         v = self._split_heads(ad.add(ad.matmul(x, p[pre + "wv"]), p[pre + "bv"]), B, L)
 
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        key_bias = (1.0 - pad_mask)[:, None, None, :] * -1e30
-        attn = ad.softmax(ad.add_constant(scores, key_bias), axis=-1)
+        if not pad_mask.all():  # without padding the key bias is all zeros
+            scores = ad.add_constant(scores, (1.0 - pad_mask)[:, None, None, :] * -1e30)
+        attn = ad.softmax(scores, axis=-1)
         ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, L, c.d_model))
         attn_out = ad.add(ad.matmul(ctx, p[pre + "wo"]), p[pre + "bo"])
         if drop_rng is not None and c.dropout > 0:

@@ -3,7 +3,42 @@
 import numpy as np
 
 from protgo import autodiff as ad
+from protgo.ingest import TOKEN_VOCAB, IngestError, encode_labels
 from protgo.model import pad_batch
+
+ID_TO_TOKEN = {v: k for k, v in TOKEN_VOCAB.items()}
+
+
+def constant(data):
+    """A tensor that takes no gradient."""
+    return ad.Tensor(data)
+
+
+def tensor_sum(a):
+    """Sum of every element, as a scalar graph node: a loss for gradient checks."""
+    shape = a.shape
+    return ad._make(np.array(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
+
+
+def detokenize(tokens):
+    """Inverse of tokenize for non-truncated, unmasked sequences."""
+    out = []
+    for tid in tokens.ids[1:-1]:
+        sym = ID_TO_TOKEN[tid]
+        if len(sym) != 1:
+            raise IngestError(f"cannot detokenize special token {sym}")
+        out.append(sym)
+    return "".join(out)
+
+
+def write_labels(records, vocab, path):
+    """The labels_<aspect>.tsv file preprocess once wrote: one line per record
+    with a term of the vocabulary's aspect, the accession and the label bits."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            if r.terms(vocab.aspect):
+                bits = encode_labels(r, vocab)
+                fh.write(r.accession + "\t" + "".join(str(int(b)) for b in bits) + "\n")
 
 
 def finite_difference_grads(loss_fn, arrays, h=1e-5, sample=None, rng=None):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from protgo import autodiff as ad
-from oracles import finite_difference_grads, relative_error
+from oracles import constant, finite_difference_grads, relative_error, tensor_sum
 
 
 def _param(data):
@@ -30,7 +30,7 @@ class TestMatmul:
         a = _param(np.arange(6.0).reshape(2, 3))
         b = _param(np.arange(12.0).reshape(3, 4))
         out = ad.matmul(a, b)
-        loss = ad.tensor_sum(out)
+        loss = tensor_sum(out)
         loss.backward()
         g = np.ones((2, 4))
         np.testing.assert_allclose(a.grad, g @ b.data.T)
@@ -98,7 +98,7 @@ class TestSimpleOps:
     def test_embedding_lookup(self):
         table = _param(np.arange(12.0).reshape(4, 3))
         out = ad.embedding_lookup(table, [2, 0, 2])
-        loss = ad.tensor_sum(out)
+        loss = tensor_sum(out)
         loss.backward()
         np.testing.assert_array_equal(out.data, table.data[[2, 0, 2]])
         expected = np.zeros((4, 3))
@@ -118,12 +118,12 @@ class TestSimpleOps:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = _param(np.zeros((2, 3)))
-        ad.tensor_sum(x).backward()
+        tensor_sum(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_hand_grad(self):
         x = _param([[1.0, 2.0]])
-        ad.tensor_sum(ad.matmul(x, ad.transpose(x, (1, 0)))).backward()  # x . x
+        tensor_sum(ad.matmul(x, ad.transpose(x, (1, 0)))).backward()  # x . x
         np.testing.assert_allclose(x.grad, [[2.0, 4.0]])
 
     def test_non_scalar_loss_rejected(self):
@@ -133,14 +133,14 @@ class TestBackward:
     def test_multi_path_gradients_sum(self):
         x = _param([2.0])
         y = ad.add(x, x)
-        ad.tensor_sum(y).backward()
+        tensor_sum(y).backward()
         np.testing.assert_allclose(x.grad, [2.0])
 
     def test_idempotent_after_reset(self):
         x = _param(np.array([[0.3, -0.7]]))
         def run():
             x.zero_grad()
-            ad.tensor_sum(ad.gelu(ad.matmul(ad.transpose(x, (1, 0)), x))).backward()
+            tensor_sum(ad.gelu(ad.matmul(ad.transpose(x, (1, 0)), x))).backward()
             return x.grad.copy()
         first = run()
         second = run()
@@ -167,7 +167,7 @@ class TestNoGrad:
         x = _param([[1.0, 2.0]])
         with ad.no_grad():
             ad.matmul(x, ad.transpose(x, (1, 0)))
-        ad.tensor_sum(ad.matmul(x, ad.transpose(x, (1, 0)))).backward()
+        tensor_sum(ad.matmul(x, ad.transpose(x, (1, 0)))).backward()
         np.testing.assert_allclose(x.grad, [[2.0, 4.0]])
 
 
@@ -190,7 +190,7 @@ class TestGradientFidelity:
             elif op_name == "softmax":
                 out = ad.softmax(ad.matmul(x, w), axis=-1)
             elif op_name == "layer_norm":
-                out = ad.layer_norm(ad.matmul(x, w), ad.constant(np.ones(4)), ad.constant(np.zeros(4)))
+                out = ad.layer_norm(ad.matmul(x, w), constant(np.ones(4)), constant(np.zeros(4)))
             elif op_name == "gelu":
                 out = ad.gelu(ad.matmul(x, w))
             elif op_name == "mean_pool":
@@ -198,7 +198,7 @@ class TestGradientFidelity:
             elif op_name == "embedding":
                 out = ad.matmul(ad.embedding_lookup(w, [0, 2, 1]), ad.transpose(x, (1, 0)))
             elif op_name == "add":
-                out = ad.add(ad.matmul(x, w), ad.constant(bias))
+                out = ad.add(ad.matmul(x, w), constant(bias))
             elif op_name == "scale":
                 out = ad.scale(ad.matmul(x, w), -1.7)
             elif op_name == "transpose":
@@ -206,7 +206,7 @@ class TestGradientFidelity:
             else:
                 out = ad.reshape(ad.matmul(x, w), (2, 6))
             # squash through gelu so the FD probe sees curvature
-            return ad.tensor_sum(ad.gelu(out))
+            return tensor_sum(ad.gelu(out))
 
         x.zero_grad()
         w.zero_grad()
@@ -226,8 +226,8 @@ class TestGradientFidelity:
         x = rng.uniform(-2, 2, size=(4, 5))
 
         def forward():
-            h = ad.gelu(ad.matmul(ad.constant(x), w1))
-            return ad.tensor_sum(ad.softmax(ad.matmul(h, w2), axis=-1))
+            h = ad.gelu(ad.matmul(constant(x), w1))
+            return tensor_sum(ad.softmax(ad.matmul(h, w2), axis=-1))
 
         w1.zero_grad()
         w2.zero_grad()

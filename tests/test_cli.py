@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from protgo import cli
 from protgo.cli import main
+from protgo.ingest import ASPECTS, parse_tsv, read_vocabulary
 from conftest import random_corpus, write_corpus_tsv
+from oracles import write_labels
 
 MODEL_JSON = {"num_layers": 1, "d_model": 16, "num_heads": 2, "d_ff": 32, "dropout": 0.0}
 FT_JSON = {"epochs": 1, "batch_size": 8, "grad_accumulation": 1, "learning_rate": 1e-3, "seed": 3}
@@ -45,7 +48,8 @@ class TestPreprocess:
         for aspect in ("BP", "MF", "CC"):
             vocab = (dataset / f"vocab_{aspect}.tsv").read_text().splitlines()
             assert len(vocab) == 3
-            assert (dataset / f"labels_{aspect}.tsv").exists()
+            # label vectors are derived from records.tsv and the vocabulary
+            assert not (dataset / f"labels_{aspect}.tsv").exists()
         assert (dataset / "records.tsv").exists()
         assert (dataset / "manifest.json").exists()
 
@@ -140,6 +144,27 @@ class TestTrainCommands:
         epochs = {int(l.split(",")[1]) for l in lines[1:]}
         assert epochs == {0, 1, 2, 3}
 
+    def test_resume_after_a_kill_mid_epoch_logs_each_step_once(self, tmp_path, dataset):
+        model_cfg = _write(tmp_path / "model.json", MODEL_JSON)
+        two = _write(tmp_path / "two.json", {**FT_JSON, "epochs": 2})
+        four = _write(tmp_path / "four.json", {**FT_JSON, "epochs": 4})
+
+        def finetune(cfg, out, *extra):
+            assert main(["finetune", "--dataset", str(dataset), "--config", cfg,
+                         "--model-config", model_cfg, "--aspect", "MF",
+                         "--out", str(out), "--quiet", *extra]) == 0
+            return out / "loss_MF.csv"
+
+        whole = finetune(four, tmp_path / "whole").read_text()
+        log = finetune(two, tmp_path / "cut")
+        # a run killed in epoch 2 logged some of its steps, the last one half
+        done = log.read_text()
+        beyond = whole[len(done):].splitlines(keepends=True)
+        assert len(beyond) > 2
+        log.write_text(done + "".join(beyond[:2]) + beyond[2][:3])
+        finetune(four, tmp_path / "cut", "--resume", str(tmp_path / "cut" / "model_MF.ckpt"))
+        assert log.read_text() == whole
+
 
 class TestPredictCommand:
     def test_threshold_zero_emits_everything(self, tmp_path, dataset):
@@ -166,15 +191,30 @@ class TestPredictCommand:
 class TestEvaluateCommand:
     def _self_predictions(self, dataset, path):
         """Prediction TSV that echoes the targets with score 1."""
+        records = parse_tsv(dataset / "records.tsv")
         lines = []
-        for aspect in ("BP", "MF", "CC"):
-            vocab = [l.split("\t")[1] for l in (dataset / f"vocab_{aspect}.tsv").read_text().splitlines()]
-            for row in (dataset / f"labels_{aspect}.tsv").read_text().splitlines():
+        for aspect in ASPECTS:
+            vocab = read_vocabulary(dataset / f"vocab_{aspect.value}.tsv", aspect)
+            labels = path.parent / f"labels_{aspect.value}.tsv"
+            write_labels(records, vocab, labels)
+            for row in labels.read_text().splitlines():
                 accession, bits = row.split("\t")
                 for i, b in enumerate(bits):
                     if b == "1":
-                        lines.append(f"{accession}\t{vocab[i]}\t{aspect}\t1.000000")
+                        lines.append(f"{accession}\t{vocab.terms[i]}\t{aspect.value}\t1.000000")
         path.write_text("\n".join(lines) + "\n")
+
+    def test_derived_labels_match_the_written_ones(self, tmp_path, dataset):
+        records = parse_tsv(dataset / "records.tsv")
+        dropped = 0
+        for aspect in ASPECTS:
+            vocab = read_vocabulary(dataset / f"vocab_{aspect.value}.tsv", aspect)
+            write_labels(records, vocab, tmp_path / "labels.tsv")
+            rows, labels = cli._labelled(records, vocab)
+            derived = "".join(f"{r.accession}\t{''.join(map(str, y))}\n" for r, y in zip(rows, labels))
+            assert derived == (tmp_path / "labels.tsv").read_text()
+            dropped += len(records) - len(rows)
+        assert dropped  # some records carry no term of some aspect
 
     def test_self_evaluation_is_perfect(self, tmp_path, dataset, capsys):
         pred = tmp_path / "pred.tsv"

@@ -4,11 +4,11 @@ from hypothesis import given, strategies as st
 from protgo import ingest
 from protgo.ingest import (
     CLS_ID, SEP_ID, VOCAB_SIZE, GoAspect, IngestError, ProteinRecord,
-    build_vocabulary, detokenize, encode_labels, filter_unannotated,
+    build_vocabulary, encode_labels, filter_unannotated,
     parse_fasta_tsv, parse_tsv, read_vocabulary, tokenize, write_vocabulary,
 )
 from conftest import random_corpus
-from oracles import recount_terms
+from oracles import detokenize, recount_terms
 
 
 def _rec(accession, seq, anns=()):
