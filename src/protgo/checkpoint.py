@@ -19,6 +19,7 @@ from .model import FreezeMask, ModelConfig, ProteinEncoder, check_params
 
 MAGIC = b"PGO1"
 FORMAT_VERSION = 1
+HEADER_KEYS = {"format_version", "config", "freeze_mask", "optimizer", "rng_state", "arrays", "payload_bytes"}
 
 
 class CheckpointError(ValueError):
@@ -93,8 +94,11 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(f"unrecognized checkpoint format_version {header.get('format_version')}")
+    missing = sorted(HEADER_KEYS - set(header)) if isinstance(header, dict) else sorted(HEADER_KEYS)
+    if missing:
+        raise CheckpointError(f"checkpoint header lacks {missing}: {path}")
+    if header["format_version"] != FORMAT_VERSION:
+        raise CheckpointError(f"unrecognized checkpoint format_version {header['format_version']}")
     payload = blob[8 + header_len :]
     if len(payload) != header["payload_bytes"]:
         raise CheckpointError(
@@ -103,29 +107,33 @@ def load_checkpoint(path) -> Checkpoint:
 
     arrays = {}
     for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start).reshape(entry["shape"])
-        arrays[entry["name"]] = arr.copy()
+        try:
+            name, dtype, shape, start = entry["name"], np.dtype(entry["dtype"]), entry["shape"], int(entry["offset"])
+            count = int(np.prod(shape)) if shape else 1
+        except (KeyError, TypeError, ValueError):
+            raise CheckpointError(f"corrupt checkpoint array entry {entry!r}: {path}") from None
+        if start < 0 or start + count * dtype.itemsize > len(payload):
+            raise CheckpointError(f"array '{name}' runs past the end of the checkpoint payload: {path}")
+        arrays[name] = np.frombuffer(payload, dtype=dtype, count=count, offset=start).reshape(shape).copy()
 
+    try:
+        config = ModelConfig.from_dict(header["config"])
+        freeze_mask = FreezeMask(dict(header["freeze_mask"]))
+        rng_state = dict(header["rng_state"])
+        step = None if header["optimizer"] is None else int(header["optimizer"]["step"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint header ({exc!r}): {path}") from None
     params = {k[len("param."):]: v for k, v in arrays.items() if k.startswith("param.")}
     optimizer_state = None
-    if header["optimizer"] is not None:
+    if step is not None:
         optimizer_state = {
-            "step": header["optimizer"]["step"],
+            "step": step,
             "m": {k[len("adam.m."):]: v for k, v in arrays.items() if k.startswith("adam.m.")},
             "v": {k[len("adam.v."):]: v for k, v in arrays.items() if k.startswith("adam.v.")},
         }
-    config = ModelConfig.from_dict(header["config"])
     check_params(config, params)
-    return Checkpoint(
-        config=config,
-        params=params,
-        freeze_mask=FreezeMask(dict(header["freeze_mask"])),
-        optimizer_state=optimizer_state,
-        rng_state=dict(header["rng_state"]),
-    )
+    return Checkpoint(config=config, params=params, freeze_mask=freeze_mask,
+                      optimizer_state=optimizer_state, rng_state=rng_state)
 
 
 def checkpoint_from_model(model: ProteinEncoder, freeze_mask: FreezeMask,

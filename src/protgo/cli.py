@@ -17,7 +17,7 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import fusion as fusion_mod
 from . import ingest, manifest, metrics, splitter, training
-from .model import FreezeMask, ModelConfig, ModelError, ProteinEncoder
+from .model import FreezeMask, ModelError, ProteinEncoder
 
 ASPECT_NAMES = {"BP": "Biological Processes", "MF": "Molecular Function", "CC": "Cellular Component"}
 
@@ -134,29 +134,16 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _load_train_config(args, mode):
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = {"epochs": 1, "batch_size": 8}
-    if args.seed is not None:
-        data.setdefault("seed", args.seed)
-    return training.config_from_json(data, mode)
-
-
-def _load_model_config(args, num_labels, max_len) -> ModelConfig:
+def _json_config(path, kind, **derived):
+    """The `kind` config from the JSON file at `path` (none: defaults) and `derived`."""
     data = {}
-    if args.model_config:
-        with open(args.model_config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        allowed = set(ModelConfig.__dataclass_fields__)
-        unknown = set(data) - allowed
-        if unknown:
-            raise ModelError(f"unknown model config field(s): {sorted(unknown)}")
-    data.setdefault("num_labels", num_labels)
-    data.setdefault("max_len", max_len)
-    return ModelConfig(**data)
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise training.TrainingError(f"{path} is not a JSON file: {exc}") from None
+    return training.config_from_json(data, kind, **derived)
 
 
 def _aspects_of(args):
@@ -180,33 +167,43 @@ def _loss_rows_upto(path, step) -> str:
 
 
 def _train_one_aspect(args, mode, aspect, records, vocabs, meta, out):
-    cfg = _load_train_config(args, mode)
-    cfg.seed = _derive_seed(cfg.seed, aspect)
     max_len = meta["max_len"]
+    cfg = _json_config(args.config, mode, seed=_derive_seed(args.seed, aspect))
+    model_cfg = _json_config(args.model_config, "model", vocab_size=ingest.VOCAB_SIZE,
+                             max_len=max_len, num_labels=len(vocabs[aspect]))
 
     source = args.resume or getattr(args, "init", None)
     if source:
-        loaded = ckpt_io.load_checkpoint(_aspect_path(source, aspect))
+        path = _aspect_path(source, aspect)
+        loaded = ckpt_io.load_checkpoint(path)
+        if args.model_config and model_cfg != loaded.config:
+            field = next(f for f in model_cfg.to_dict() if getattr(model_cfg, f) != getattr(loaded.config, f))
+            raise training.TrainingError(f"model config {field} {getattr(model_cfg, field)} differs from "
+                                         f"{getattr(loaded.config, field)} in checkpoint {path}")
         model = loaded.to_model()
     else:
-        model = ProteinEncoder(_load_model_config(args, len(vocabs[aspect]), max_len), seed=cfg.seed)
+        model = ProteinEncoder(model_cfg, seed=cfg.seed)
 
     wanted = _split_side(args, "train")
+    freeze_kind = getattr(args, "freeze", "none")  # pretraining freezes nothing
+    freeze = (FreezeMask.default_finetune if freeze_kind == "default" else FreezeMask.none)(model.config)
     if mode == "finetune":
         fusion_mod.check_labels(model, vocabs[aspect])
         rows, labels = _labelled(records, vocabs[aspect], wanted)
         data = [(ingest.tokenize(r.sequence, max_len), y) for r, y in zip(rows, labels)]
-        freeze = FreezeMask.default_finetune(model.config) if args.freeze == "default" \
-            else FreezeMask.none(model.config)
     else:
         data = [ingest.tokenize(r.sequence, max_len) for r in records
                 if wanted is None or r.accession in wanted]
-        freeze = FreezeMask.none(model.config)
 
     ckpt_path = out / f"model_{aspect.value}.ckpt"
     loss_path = out / f"loss_{aspect.value}.csv"
     start_epoch, adam_state, kept = 0, None, ""
     if args.resume:
+        # resuming continues the run exactly, so it takes no other seed or freeze mask
+        if loaded.rng_state.get("seed") != cfg.seed:
+            raise training.TrainingError(f"--seed {args.seed} is not the seed checkpoint {path} was trained with")
+        if loaded.freeze_mask != freeze:
+            raise training.TrainingError(f"freeze mask '{freeze_kind}' is not that of checkpoint {path}")
         start_epoch, adam_state = training.resume_state(loaded, model)
         if loss_path.exists():
             kept = _loss_rows_upto(loss_path, adam_state.step)
@@ -297,15 +294,19 @@ def _scores_from_checkpoints(args, aspect, rows, vocabs, meta):
 
 
 def _read_predictions(path) -> dict:
-    """aspect code -> [(accession, go_id, score text)] from a predictions TSV;
+    """aspect code -> [(accession, go_id, score)] from a predictions TSV;
     the placeholder lines of empty prediction sets are skipped."""
     by_aspect = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             cols = line.rstrip("\n").split("\t")
             if len(cols) != 4 or cols[1] == "-":
                 continue
             accession, go_id, aspect, score = cols
+            try:
+                score = float(score)
+            except ValueError:
+                raise metrics.MetricsError(f"score '{score}' at line {line_no} of {path} is not a number") from None
             by_aspect.setdefault(aspect, []).append((accession, go_id, score))
     return by_aspect
 
@@ -316,7 +317,7 @@ def _scores_from_predictions(lines, rows, vocab):
     scores = np.zeros((len(rows), len(index)))
     for accession, go_id, score in lines:
         if accession in row_of and go_id in index:
-            scores[row_of[accession], index[go_id]] = float(score)
+            scores[row_of[accession], index[go_id]] = score
     return scores
 
 
@@ -435,12 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON training config")
         p.add_argument("--split", default=None, help="split directory; restricts to its train side")
         p.add_argument("--aspect", choices=("BP", "MF", "CC", "all"), default="all")
-        p.add_argument("--resume", default=None,
-                       help="checkpoint to resume (may contain an {aspect} slot)")
         p.add_argument("--model-config", default=None, dest="model_config")
+        start = p.add_mutually_exclusive_group()
+        start.add_argument("--resume", default=None,
+                           help="checkpoint to resume (may contain an {aspect} slot)")
         if name == "finetune":
-            p.add_argument("--init", default=None,
-                           help="pretrained checkpoint to start from (fresh optimizer)")
+            start.add_argument("--init", default=None,
+                               help="pretrained checkpoint to start from (fresh optimizer)")
             p.add_argument("--freeze", choices=("default", "none"), default="default")
         p.set_defaults(func=func)
 

@@ -237,11 +237,15 @@ def write_vocabulary(vocab: LabelVocabulary, path) -> None:
 def read_vocabulary(path, aspect: GoAspect) -> LabelVocabulary:
     terms, counts = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            _, term, count = line.split("\t")
+            try:
+                _, term, count = line.split("\t")
+                counts.append(int(count))
+            except ValueError:
+                raise IngestError(f"malformed vocabulary line {line_no} in {path}: "
+                                  "expected rank, GO id and count") from None
             terms.append(term)
-            counts.append(int(count))
     return LabelVocabulary(aspect=aspect, terms=tuple(terms), counts=tuple(counts))

@@ -65,9 +65,14 @@ def write_manifest(out_dir, command: str, config: dict, seed, inputs, outputs,
 def verify_manifest(manifest_path) -> list:
     """Re-hash the recorded inputs; return a list of drift descriptions."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ManifestError(f"{manifest_path} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("input_digests"), dict):
+        raise ManifestError(f"{manifest_path} is not a manifest: it has no input_digests object")
     problems = []
-    for path, digest in manifest.get("input_digests", {}).items():
+    for path, digest in manifest["input_digests"].items():
         if not os.path.exists(path):
             problems.append(f"missing input: {path}")
         elif sha256_file(path) != digest:

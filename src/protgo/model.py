@@ -34,6 +34,12 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        for name in ("num_layers", "d_model", "num_heads", "d_ff"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ModelError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.dropout, (int, float)) or not 0.0 <= self.dropout < 1.0:
+            raise ModelError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.d_model % self.num_heads != 0:
             raise ModelError(f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
         if self.max_len < 1:
@@ -167,9 +173,6 @@ class ProteinEncoder:
             raise ModelError("the classifier group cannot be frozen during fine-tuning")
         for name, tensor in self.params.items():
             tensor.requires_grad = not mask.is_frozen(group_of(name))
-
-    def trainable_params(self) -> dict:
-        return {k: v for k, v in self.params.items() if v.requires_grad}
 
     def zero_grads(self) -> None:
         for t in self.params.values():

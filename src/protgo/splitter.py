@@ -194,7 +194,12 @@ def read_split(split_dir) -> DatasetSplit:
 
     split_dir = Path(split_dir)
     with open(split_dir / "split.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise SplitError(f"{split_dir / 'split.json'} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict) or not {"seed", "kind"} <= manifest.keys():
+        raise SplitError(f"{split_dir / 'split.json'} does not record the split's seed and kind")
     parts = {}
     for name in ("train", "dev", "test"):
         with open(split_dir / f"{name}.ids", "r", encoding="utf-8") as fh:

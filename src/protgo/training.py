@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import Checkpoint, checkpoint_from_model, save_checkpoint
 from .ingest import MASK_ID, TokenSequence
-from .model import FreezeMask, ProteinEncoder, pad_batch
+from .model import FreezeMask, ModelConfig, ProteinEncoder, pad_batch
 
 
 class TrainingError(ValueError):
@@ -24,8 +24,8 @@ class TrainingError(ValueError):
 
 @dataclass
 class PretrainConfig:
-    epochs: int
-    batch_size: int
+    epochs: int = 1
+    batch_size: int = 8
     mask_probability: float = 0.15
     learning_rate: float = 0.002
     weight_decay: float = 0.01
@@ -40,8 +40,8 @@ class PretrainConfig:
 
 @dataclass
 class FinetuneConfig:
-    batch_size: int
-    epochs: int = 10
+    epochs: int = 1
+    batch_size: int = 8
     learning_rate: float = 5e-4
     weight_decay: float = 0.0
     grad_accumulation: int = 32
@@ -52,12 +52,10 @@ class FinetuneConfig:
 
 
 def _validate_common(cfg):
-    if cfg.epochs < 1:
-        raise TrainingError(f"epochs must be >= 1, got {cfg.epochs}")
-    if cfg.batch_size < 1:
-        raise TrainingError(f"batch_size must be >= 1, got {cfg.batch_size}")
-    if cfg.grad_accumulation < 1:
-        raise TrainingError(f"grad_accumulation must be >= 1, got {cfg.grad_accumulation}")
+    for name in ("epochs", "batch_size", "grad_accumulation"):
+        value = getattr(cfg, name)
+        if not isinstance(value, int) or value < 1:
+            raise TrainingError(f"{name} must be an integer >= 1, got {value!r}")
     if cfg.learning_rate <= 0:
         raise TrainingError(f"learning_rate must be positive, got {cfg.learning_rate}")
     if cfg.weight_decay < 0:
@@ -274,14 +272,18 @@ def resume_state(ckpt: Checkpoint, model: ProteinEncoder):
     return start_epoch, state
 
 
-def config_from_json(data: dict, mode: str):
-    cls = PretrainConfig if mode == "pretrain" else FinetuneConfig
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(data) - allowed
+def config_from_json(data, kind: str, **derived):
+    """The `kind` config ("pretrain", "finetune" or "model") from the fields
+    of a JSON object, defaults filling the rest. `derived` holds the fields
+    whose values the program sets itself; the JSON may not name them."""
+    cls = {"pretrain": PretrainConfig, "finetune": FinetuneConfig, "model": ModelConfig}[kind]
+    if not isinstance(data, dict):
+        raise TrainingError(f"a {kind} config must be a JSON object, got {type(data).__name__}")
+    allowed = set(cls.__dataclass_fields__) - set(derived)
+    unknown = sorted(set(data) - allowed)
     if unknown:
-        raise TrainingError(f"unknown config field(s): {sorted(unknown)}")
+        raise TrainingError(f"unknown config field(s) {unknown}: a {kind} config takes {sorted(allowed)}")
     try:
-        return cls(**data)
+        return cls(**data, **derived)
     except TypeError as exc:
-        raise TrainingError(f"invalid training config: {exc}") from exc
-
+        raise TrainingError(f"invalid {kind} config: {exc}") from exc

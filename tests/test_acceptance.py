@@ -283,7 +283,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
                                          "d_ff": 32, "dropout": 0.0}))
         ft_cfg = tmp_path / "ft.json"
         ft_cfg.write_text(json.dumps({"epochs": 2, "batch_size": 8, "grad_accumulation": 1,
-                                      "learning_rate": 1e-3, "seed": 3}))
+                                      "learning_rate": 1e-3}))
         outputs = []
         for run in ("a", "b"):
             base = tmp_path / run

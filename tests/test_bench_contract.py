@@ -1,12 +1,16 @@
 """The benchmark in perfbench/ finds its per-layer metrics by the names of
 protgo's functions and methods. These tests install its tracer in a fresh
 interpreter and check that every metric it declares still has a name to read,
-so a rename or removal fails here rather than in a traced benchmark run."""
+and that a small pipeline with the benchmark's flags calls every binding site
+its workloads expect. A rename, a removal or a site the program no longer
+calls thus fails here rather than in a traced benchmark run."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import random_corpus, write_corpus_tsv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,3 +43,51 @@ def test_every_per_layer_row_is_emitted_and_every_expected_site_exists():
     found = _probe()
     assert set(found["declared"]) - set(found["emitted"]) == set()
     assert set(found["absent_sites"]) <= ABSENT_BEFORE
+
+
+PIPELINE = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import protgo, tracer, workloads
+from protgo import cli
+tr = tracer.Tracer()
+tracer.install(tr, protgo)
+tr.enabled = True
+codes = [cli.main(argv) for argv in json.loads(sys.argv[3])]
+tr.enabled = False
+print(json.dumps({
+    "codes": codes,
+    "not_hit": {name: sorted(s for s in w.expected_sites if s in tr.sites and tr.hits[s] == 0)
+                for name, w in workloads.WORKLOADS.items()},
+}))
+"""
+
+
+def test_a_pipeline_with_the_benchmark_flags_hits_every_expected_site(tmp_path):
+    # mixed lengths pad every batch; dropout > 0 as in the default model
+    write_corpus_tsv(random_corpus(40, seed=7, go_pool=9), tmp_path / "corpus.tsv")
+    (tmp_path / "queries.tsv").write_text("Q1\tMKVLAEWWKQ\nQBAD\tMKJV\nQ2\tMKVLAEWWKQRRPLAGEMKVLAEW\n")
+    (tmp_path / "model.json").write_text(json.dumps({"num_layers": 2, "d_model": 8, "num_heads": 2,
+                                                     "d_ff": 16, "dropout": 0.1}))
+    (tmp_path / "train.json").write_text(json.dumps({"epochs": 1, "batch_size": 8}))
+    ds, ckpt = str(tmp_path / "ds"), str(tmp_path / "run" / "model_{aspect}.ckpt")
+    train = ["--dataset", ds, "--config", str(tmp_path / "train.json")]
+    steps = [
+        ["preprocess", str(tmp_path / "corpus.tsv"), "--top-k", "3", "--out", ds],
+        ["split", "--dataset", ds, "--kind", "clustered", "--out", str(tmp_path / "split")],
+        ["pretrain", *train, "--model-config", str(tmp_path / "model.json"), "--out", str(tmp_path / "pre")],
+        ["finetune", *train, "--init", str(tmp_path / "pre" / "model_{aspect}.ckpt"), "--freeze", "default",
+         "--out", str(tmp_path / "run")],
+        ["predict", str(tmp_path / "queries.tsv"), *(x for a in ("BP", "MF", "CC")
+                                                    for x in (f"--{a.lower()}", ckpt.format(aspect=a))),
+         "--vocab-dir", ds, "--out", str(tmp_path / "pred")],
+        ["evaluate", "--dataset", ds, "--model", ckpt, "--batch-size", "4", "--out", str(tmp_path / "ev")],
+        ["evaluate", "--dataset", ds, "--predictions", str(tmp_path / "pred" / "predictions.tsv"),
+         "--threshold", "0.3", "0.7", "--out", str(tmp_path / "ev2")],
+    ]
+    steps = [argv + ["--quiet"] for argv in steps]
+    out = subprocess.run([sys.executable, "-c", PIPELINE, str(ROOT / "src"), str(ROOT / "perfbench"),
+                          json.dumps(steps)], capture_output=True, text=True, check=True, timeout=120)
+    found = json.loads(out.stdout)
+    assert found["codes"] == [0] * len(steps)
+    assert found["not_hit"] == {name: [] for name in found["not_hit"]}

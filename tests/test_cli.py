@@ -1,15 +1,17 @@
 import json
+import struct
 
 import pytest
 
 from protgo import cli
+from protgo.checkpoint import load_checkpoint
 from protgo.cli import main
 from protgo.ingest import ASPECTS, parse_tsv, read_vocabulary
 from conftest import random_corpus, write_corpus_tsv
 from oracles import write_labels
 
 MODEL_JSON = {"num_layers": 1, "d_model": 16, "num_heads": 2, "d_ff": 32, "dropout": 0.0}
-FT_JSON = {"epochs": 1, "batch_size": 8, "grad_accumulation": 1, "learning_rate": 1e-3, "seed": 3}
+FT_JSON = {"epochs": 1, "batch_size": 8, "grad_accumulation": 1, "learning_rate": 1e-3}
 
 
 def _write(path, obj):
@@ -119,13 +121,65 @@ class TestTrainCommands:
         assert rc == 1
 
     @pytest.mark.parametrize("field, value", [
-        ("loss_kind", "categorical"), ("lr_schedule", "linear"), ("threshold", 0.5),
+        ("loss_kind", "categorical"), ("lr_schedule", "linear"), ("threshold", 0.5), ("seed", 3),
     ])
     def test_removed_config_fields_rejected(self, tmp_path, dataset, field, value):
         cfg = _write(tmp_path / "old.json", {**FT_JSON, field: value})
         rc = main(["finetune", "--dataset", str(dataset), "--config", cfg,
                    "--out", str(tmp_path / "o"), "--quiet"])
         assert rc == 1
+
+    @pytest.mark.parametrize("field, value", [("vocab_size", 30), ("max_len", 50), ("num_labels", 3)])
+    def test_derived_model_fields_rejected(self, tmp_path, dataset, field, value, capsys):
+        # each names the value it would be given anyway: any value is refused
+        cfg = _write(tmp_path / "model.json", {**MODEL_JSON, field: value})
+        rc = main(["finetune", "--dataset", str(dataset), "--model-config", cfg,
+                   "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and field in err[0]
+
+    def test_seed_flag_is_the_seed_used_and_recorded(self, tmp_path, dataset):
+        out = _finetune(tmp_path, dataset, extra=["--seed", "5"])
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 5
+        for aspect in ASPECTS:
+            ckpt = load_checkpoint(out / f"model_{aspect.value}.ckpt")
+            assert ckpt.rng_state["seed"] == cli._derive_seed(5, aspect)
+
+    @pytest.mark.parametrize("flags, setting", [
+        (["--seed", "1"], "--seed 1"),
+        (["--freeze", "none"], "freeze mask 'none'"),
+        (["--model-config", "wide.json"], "model config d_model 32"),
+    ])
+    def test_resume_rejects_settings_other_than_recorded(self, tmp_path, dataset, capsys, flags, setting):
+        _write(tmp_path / "wide.json", {**MODEL_JSON, "d_model": 32})
+        run = _finetune(tmp_path, dataset, extra=["--aspect", "MF"])
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        capsys.readouterr()
+        rc = main(["finetune", "--dataset", str(dataset), "--aspect", "MF", "--resume",
+                   str(run / "model_MF.ckpt"), "--out", str(run), "--quiet", *flags])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and setting in err[0]
+
+    def test_resume_and_init_exclude_each_other(self, tmp_path, dataset):
+        with pytest.raises(SystemExit) as exc:
+            main(["finetune", "--dataset", str(dataset), "--resume", "a.ckpt", "--init", "b.ckpt", "--quiet"])
+        assert exc.value.code == 2
+
+    def test_init_rejects_another_model_config(self, tmp_path, dataset, capsys):
+        pre = tmp_path / "pre"
+        model_cfg = _write(tmp_path / "model.json", MODEL_JSON)
+        assert main(["pretrain", "--dataset", str(dataset), "--model-config", model_cfg,
+                     "--aspect", "MF", "--out", str(pre), "--quiet"]) == 0
+        init = ["finetune", "--dataset", str(dataset), "--aspect", "MF",
+                "--init", str(pre / "model_MF.ckpt"), "--out", str(tmp_path / "ft"), "--quiet"]
+        assert main(init + ["--model-config", model_cfg]) == 0
+        other = _write(tmp_path / "deep.json", {**MODEL_JSON, "num_layers": 2})
+        capsys.readouterr()
+        assert main(init + ["--model-config", other]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "num_layers 2" in err[0]
 
     def test_resume_continues_step_count(self, tmp_path, dataset):
         model_cfg = _write(tmp_path / "model.json", MODEL_JSON)
@@ -269,6 +323,88 @@ class TestEvaluateCommand:
         for aspect in ("BP", "MF", "CC"):
             assert (out / f"roc_{aspect}.csv").read_text().startswith("fpr,tpr,threshold")
             assert (out / f"sla_{aspect}.csv").read_text().startswith("bucket_lo,bucket_hi,count,accuracy")
+
+
+def _rewrite_header(path, edit):
+    """Passes a checkpoint's JSON header through `edit`; the payload stays."""
+    blob = path.read_bytes()
+    n = struct.unpack("<I", blob[4:8])[0]
+    header = json.loads(blob[8:8 + n])
+    edit(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(blob[:4] + struct.pack("<I", len(raw)) + raw + blob[8 + n:])
+
+
+def _predict_with_bp_header(edit):
+    def make(tmp_path, dataset):
+        run = _finetune(tmp_path, dataset)
+        _rewrite_header(run / "model_BP.ckpt", edit)
+        query = tmp_path / "q.tsv"
+        query.write_text("Q1\tMKVLAE\t\n")
+        return ["predict", str(query), "--bp", str(run / "model_BP.ckpt"), "--mf", str(run / "model_MF.ckpt"),
+                "--cc", str(run / "model_CC.ckpt"), "--vocab-dir", str(dataset), "--out", str(tmp_path / "p")]
+    return make
+
+
+def _evaluate(tmp_path, dataset, predictions="", split=None):
+    pred = tmp_path / "pred.tsv"
+    pred.write_text(predictions)
+    argv = ["evaluate", "--dataset", str(dataset), "--predictions", str(pred), "--out", str(tmp_path / "e")]
+    return argv + (["--split", str(split)] if split else [])
+
+
+def _manifest_not_json(tmp_path, dataset):
+    (tmp_path / "manifest.json").write_text('{"command": "split", ')
+    return ["verify", str(tmp_path / "manifest.json")]
+
+
+def _vocabulary_line_of_two_columns(tmp_path, dataset):
+    with open(dataset / "vocab_MF.tsv", "a", encoding="utf-8") as fh:
+        fh.write("4\tGO:0000004\n")
+    return _evaluate(tmp_path, dataset)
+
+
+def _score_not_a_number(tmp_path, dataset):
+    accession = parse_tsv(dataset / "records.tsv")[0].accession
+    go_id = read_vocabulary(dataset / "vocab_BP.tsv", ASPECTS[0]).terms[0]
+    return _evaluate(tmp_path, dataset, f"{accession}\t{go_id}\tBP\thigh\n")
+
+
+def _split_without_seed(tmp_path, dataset):
+    split = tmp_path / "split"
+    assert main(["split", "--dataset", str(dataset), "--kind", "random", "--out", str(split), "--quiet"]) == 0
+    (split / "split.json").write_text('{"kind": "random"}\n')
+    return _evaluate(tmp_path, dataset, split=split)
+
+
+def _model_config_not_json(tmp_path, dataset):
+    (tmp_path / "model.json").write_text("num_layers: 1\n")
+    return ["finetune", "--dataset", str(dataset), "--model-config", str(tmp_path / "model.json"),
+            "--out", str(tmp_path / "o")]
+
+
+def _last_array_past_payload(header):
+    header["arrays"][-1]["offset"] += 8
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("make_argv", [
+        _manifest_not_json,
+        _vocabulary_line_of_two_columns,
+        _score_not_a_number,
+        _split_without_seed,
+        _model_config_not_json,
+        _predict_with_bp_header(lambda header: header.pop("rng_state")),
+        _predict_with_bp_header(_last_array_past_payload),
+        _predict_with_bp_header(lambda header: header["optimizer"].pop("step")),
+    ], ids=["manifest", "vocabulary", "score", "split", "model-config", "header-key", "array-offset",
+            "optimizer-step"])
+    def test_exit_1_with_one_line(self, tmp_path, dataset, capsys, make_argv):
+        argv = make_argv(tmp_path, dataset)
+        capsys.readouterr()
+        assert main(argv + ["--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestRemovedOptions:
