@@ -76,6 +76,9 @@ def _labelled(records, vocab, accessions=None):
 
 def cmd_preprocess(args) -> int:
     started = time.time()
+    for flag, value in (("--top-k", args.top_k), ("--max-len", args.max_len)):
+        if value < 1:
+            raise ingest.IngestError(f"{flag} must be >= 1, got {value}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     inputs = [args.input] + ([args.annotations] if args.annotations else [])
@@ -295,12 +298,16 @@ def _scores_from_checkpoints(args, aspect, rows, vocabs, meta):
 
 def _read_predictions(path) -> dict:
     """aspect code -> [(accession, go_id, score)] from a predictions TSV;
-    the placeholder lines of empty prediction sets are skipped."""
+    blank lines and the placeholder lines of empty prediction sets are skipped."""
     by_aspect = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
             cols = line.rstrip("\n").split("\t")
-            if len(cols) != 4 or cols[1] == "-":
+            if len(cols) != 4:
+                raise metrics.MetricsError(f"line {line_no} of {path} has {len(cols)} columns, not 4")
+            if cols[1] == "-":
                 continue
             accession, go_id, aspect, score = cols
             try:

@@ -85,6 +85,13 @@ def cluster_sequences(records, identity_threshold: float = 0.5, kmer: int = 5) -
     Records are visited in descending sequence length (accession as a
     deterministic tie-break); each joins the first representative with
     similarity >= identity_threshold, else founds a new cluster.
+
+    An inverted index from each k-mer to the clusters whose representative
+    holds it sums, per representative, the record's counts of the k-mers they
+    share. That sum bounds the shared multiset from above, and every
+    representative is at least as long as the record, so the denominator is
+    the record's own k-mer count: kmer_similarity only runs on representatives
+    whose bound reaches the threshold, and the assignment is unchanged.
     """
     if kmer < 2:
         raise SplitError(f"kmer must be >= 2, got {kmer}")
@@ -93,19 +100,25 @@ def cluster_sequences(records, identity_threshold: float = 0.5, kmer: int = 5) -
     ordered = sorted(records, key=lambda r: (-len(r.sequence), r.accession))
     cluster_of = {}
     representative = {}
-    rep_seqs = []  # (cluster id, sequence), in founding order
+    rep_seqs = []  # representative sequence per cluster id, in founding order
+    clusters_with = {}  # k-mer -> ids of the clusters whose representative holds it
     for record in ordered:
-        placed = False
-        for cid, rep_seq in rep_seqs:
-            if kmer_similarity(record.sequence, rep_seq, kmer) >= identity_threshold:
-                cluster_of[record.accession] = cid
-                placed = True
-                break
-        if not placed:
+        counts = kmer_multiset(record.sequence, kmer)
+        n = len(record.sequence) - kmer + 1
+        bound = Counter()
+        for km, c in counts.items():
+            for cid in clusters_with.get(km, ()):
+                bound[cid] += c
+        candidates = sorted(cid for cid, b in bound.items() if b / n >= identity_threshold)
+        cid = next((cid for cid in candidates
+                    if kmer_similarity(record.sequence, rep_seqs[cid], kmer) >= identity_threshold), None)
+        if cid is None:
             cid = len(representative)
             representative[cid] = record.accession
-            cluster_of[record.accession] = cid
-            rep_seqs.append((cid, record.sequence))
+            rep_seqs.append(record.sequence)
+            for km in counts:
+                clusters_with.setdefault(km, []).append(cid)
+        cluster_of[record.accession] = cid
     return ClusterAssignment(cluster_of=cluster_of, representative=representative)
 
 

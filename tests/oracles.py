@@ -5,6 +5,7 @@ import numpy as np
 from protgo import autodiff as ad
 from protgo.ingest import TOKEN_VOCAB, IngestError, encode_labels
 from protgo.model import pad_batch
+from protgo.splitter import ClusterAssignment, kmer_similarity
 
 ID_TO_TOKEN = {v: k for k, v in TOKEN_VOCAB.items()}
 
@@ -117,6 +118,29 @@ def recount_terms(records, aspect):
             if a is aspect:
                 counts[go] = counts.get(go, 0) + 1
     return counts
+
+
+def cluster_sequences_pairwise(records, identity_threshold, kmer):
+    """Greedy clustering as cluster_sequences defines it, with no index: each
+    record, longest first, is compared with every representative in founding
+    order and joins the first whose kmer_similarity reaches the threshold."""
+    ordered = sorted(records, key=lambda r: (-len(r.sequence), r.accession))
+    cluster_of = {}
+    representative = {}
+    rep_seqs = []  # (cluster id, sequence), in founding order
+    for record in ordered:
+        placed = False
+        for cid, rep_seq in rep_seqs:
+            if kmer_similarity(record.sequence, rep_seq, kmer) >= identity_threshold:
+                cluster_of[record.accession] = cid
+                placed = True
+                break
+        if not placed:
+            cid = len(representative)
+            representative[cid] = record.accession
+            cluster_of[record.accession] = cid
+            rep_seqs.append((cid, record.sequence))
+    return ClusterAssignment(cluster_of=cluster_of, representative=representative)
 
 
 def layer_norm_ref(x, eps=1e-12):

@@ -85,6 +85,14 @@ def test_a_pipeline_with_the_benchmark_flags_hits_every_expected_site(tmp_path):
         ["evaluate", "--dataset", ds, "--predictions", str(tmp_path / "pred" / "predictions.tsv"),
          "--threshold", "0.3", "0.7", "--out", str(tmp_path / "ev2")],
     ]
+    # only similar records reach kmer_similarity: add a corpus with near-duplicates
+    families = random_corpus(20, seed=3, min_len=12, max_len=40)
+    families += [type(r)(f"D{i}", r.sequence, r.annotations) for i, r in enumerate(families[:5])]
+    write_corpus_tsv(families, tmp_path / "families.tsv")
+    steps += [
+        ["preprocess", str(tmp_path / "families.tsv"), "--top-k", "3", "--out", str(tmp_path / "fam")],
+        ["split", "--dataset", str(tmp_path / "fam"), "--kind", "clustered", "--out", str(tmp_path / "fam_split")],
+    ]
     steps = [argv + ["--quiet"] for argv in steps]
     out = subprocess.run([sys.executable, "-c", PIPELINE, str(ROOT / "src"), str(ROOT / "perfbench"),
                           json.dumps(steps)], capture_output=True, text=True, check=True, timeout=120)

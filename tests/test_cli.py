@@ -283,6 +283,16 @@ class TestEvaluateCommand:
         shown = capsys.readouterr().out
         assert "100.00%" in shown
 
+    def test_blank_and_placeholder_lines_are_skipped(self, tmp_path, dataset):
+        pred = tmp_path / "pred.tsv"
+        self._self_predictions(dataset, pred)
+        pred.write_text("\n" + pred.read_text() + "NOHIT\t-\t-\t-\n\n")
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--dataset", str(dataset), "--predictions", str(pred),
+                     "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert all(report[aspect]["f1"] == 1.0 for aspect in ("BP", "MF", "CC"))
+
     def test_all_zero_predictions_zero_recall(self, tmp_path, dataset):
         pred = tmp_path / "pred.tsv"
         pred.write_text("")
@@ -370,6 +380,19 @@ def _score_not_a_number(tmp_path, dataset):
     return _evaluate(tmp_path, dataset, f"{accession}\t{go_id}\tBP\thigh\n")
 
 
+def _predictions_line_of_three_columns(tmp_path, dataset):
+    accession = parse_tsv(dataset / "records.tsv")[0].accession
+    go_id = read_vocabulary(dataset / "vocab_BP.tsv", ASPECTS[0]).terms[0]
+    return _evaluate(tmp_path, dataset, f"{accession}\t{go_id}\tBP 0.9\n")
+
+
+def _preprocess_with(top_k, max_len):
+    def make(tmp_path, dataset):
+        return ["preprocess", str(tmp_path / "corpus.tsv"), "--top-k", top_k, "--max-len", max_len,
+                "--out", str(tmp_path / "ds0")]
+    return make
+
+
 def _split_without_seed(tmp_path, dataset):
     split = tmp_path / "split"
     assert main(["split", "--dataset", str(dataset), "--kind", "random", "--out", str(split), "--quiet"]) == 0
@@ -397,8 +420,11 @@ class TestMalformedInput:
         _predict_with_bp_header(lambda header: header.pop("rng_state")),
         _predict_with_bp_header(_last_array_past_payload),
         _predict_with_bp_header(lambda header: header["optimizer"].pop("step")),
+        _predictions_line_of_three_columns,
+        _preprocess_with(top_k="0", max_len="50"),
+        _preprocess_with(top_k="3", max_len="0"),
     ], ids=["manifest", "vocabulary", "score", "split", "model-config", "header-key", "array-offset",
-            "optimizer-step"])
+            "optimizer-step", "predictions-columns", "top-k-zero", "max-len-zero"])
     def test_exit_1_with_one_line(self, tmp_path, dataset, capsys, make_argv):
         argv = make_argv(tmp_path, dataset)
         capsys.readouterr()

@@ -1,11 +1,15 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from protgo import splitter
 from protgo.ingest import ProteinRecord
 from protgo.splitter import (
     ClusterAssignment, SplitError, audit_leakage, cluster_sequences,
     clustered_split, kmer_similarity, random_split, read_split, write_split,
 )
-from conftest import random_corpus
+from conftest import RESIDUES, random_corpus
+from oracles import cluster_sequences_pairwise
 
 
 def _rec(accession, seq):
@@ -97,6 +101,64 @@ class TestClusterSequences:
             counts = [cluster_sequences(recs, t, 3).num_clusters
                       for t in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)]
             assert counts == sorted(counts), (seed, counts)
+
+
+def _assert_same_as_pairwise(records, threshold, k):
+    got = cluster_sequences(records, threshold, k)
+    want = cluster_sequences_pairwise(records, threshold, k)
+    assert got.cluster_of == want.cluster_of
+    assert got.representative == want.representative
+
+
+def _families(seed, families=40, size=5, step=5, rate=0.04):
+    """Founders of 400, 395, ... residues; each family member is one residue
+    shorter than the last and has about `rate` of its residues substituted."""
+    rng = np.random.default_rng(seed)
+    residues = np.array(list(RESIDUES))
+    records = []
+    for f in range(families):
+        base = rng.choice(residues, size=400 - step * f)
+        for j in range(size):
+            member = base[:len(base) - j].copy()
+            if j:
+                hit = rng.random(len(member)) < rate
+                member[hit] = rng.choice(residues, size=int(hit.sum()))
+            records.append(_rec(f"F{f * size + j:05d}", "".join(member)))
+    return records
+
+
+class TestClusterSequencesMatchesPairwise:
+    def test_near_duplicate_corpora(self):
+        for corpus_seed in range(100):
+            records = random_corpus(20, seed=corpus_seed, min_len=12, max_len=40)
+            records = records + [_rec(f"D{i}", records[i].sequence) for i in range(5)]
+            _assert_same_as_pairwise(records, 0.5, 5)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("threshold", [0.05, 0.2, 0.5, 0.8, 1.0])
+    def test_small_alphabet_corpora(self, threshold, k):
+        # lengths 1..12 over three letters: k-mers repeat, many records are
+        # shorter than k, and many share a length
+        for seed in range(10):
+            records = random_corpus(30, seed=seed, alphabet="ACD", min_len=1, max_len=12)
+            _assert_same_as_pairwise(records, threshold, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(alphabet="AC", max_size=14), max_size=25),
+           st.floats(min_value=0.01, max_value=1.0), st.integers(2, 5))
+    def test_any_corpus(self, sequences, threshold, k):
+        _assert_same_as_pairwise([_rec(f"P{i:03d}", s) for i, s in enumerate(sequences)], threshold, k)
+
+    def test_only_joining_records_are_checked(self, monkeypatch):
+        records = _families(seed=101)
+        calls = []
+        monkeypatch.setattr(splitter, "kmer_similarity",
+                            lambda a, b, k: calls.append(1) or kmer_similarity(a, b, k))
+        assignment = cluster_sequences(records, 0.5, 5)
+        assert assignment.num_clusters == 40
+        # one check per record that joins a family; comparing with every
+        # representative makes 4060
+        assert len(calls) == len(records) - assignment.num_clusters == 160
 
 
 class TestClusteredSplit:
