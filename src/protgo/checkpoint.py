@@ -7,14 +7,13 @@ the freeze mask, and the training RNG bookkeeping.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifest import atomic_write
+from .manifest import atomic_open
 from .model import FreezeMask, ModelConfig, ProteinEncoder, check_params
 
 MAGIC = b"PGO1"
@@ -57,9 +56,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     offset = 0
     for name in sorted(arrays):
         arr = arrays[name]
-        nbytes = arr.size * arr.dtype.itemsize
         entries.append({"name": name, "dtype": _dtype_tag(arr), "shape": list(arr.shape), "offset": offset})
-        offset += nbytes
+        offset += arr.nbytes
 
     header = {
         "format_version": FORMAT_VERSION,
@@ -72,14 +70,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
 
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", len(header_bytes)))
-    buf.write(header_bytes)
-    for name in sorted(arrays):
-        arr = arrays[name]
-        buf.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
-    atomic_write(path, buf.getvalue())
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes)
+        for name in sorted(arrays):
+            arr = arrays[name]
+            fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -43,7 +43,7 @@ def _say(args, *message):
 # ---------------------------------------------------------------------------
 
 def _write_records(records, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with manifest.atomic_open(path) as fh:
         for r in records:
             anns = ";".join(f"{go}|{a.value}" for go, a in sorted(r.annotations, key=lambda x: (x[0], x[1].value)))
             fh.write(f"{r.accession}\t{r.sequence}\t{anns}\n")
@@ -54,11 +54,24 @@ def _dataset_meta(dataset_dir) -> dict:
         return json.load(fh)
 
 
+def _vocab_path(directory, aspect) -> Path:
+    return Path(directory) / f"vocab_{aspect.value}.tsv"
+
+
+def _dataset_files(dataset_dir) -> list:
+    """The files `preprocess` writes and `_load_dataset` reads."""
+    named = [Path(dataset_dir) / n for n in ("records.tsv", "dataset.json")]
+    return named + [_vocab_path(dataset_dir, a) for a in ingest.ASPECTS]
+
+
+def _split_files(args) -> list:
+    return [Path(args.split) / n for n in splitter.SPLIT_FILES] if getattr(args, "split", None) else []
+
+
 def _load_dataset(dataset_dir):
-    dataset_dir = Path(dataset_dir)
-    records = ingest.parse_tsv(dataset_dir / "records.tsv")
+    records = ingest.parse_tsv(Path(dataset_dir) / "records.tsv")
     meta = _dataset_meta(dataset_dir)
-    vocabs = {a: ingest.read_vocabulary(dataset_dir / f"vocab_{a.value}.tsv", a) for a in ingest.ASPECTS}
+    vocabs = {a: ingest.read_vocabulary(_vocab_path(dataset_dir, a), a) for a in ingest.ASPECTS}
     return records, vocabs, meta
 
 
@@ -90,22 +103,16 @@ def cmd_preprocess(args) -> int:
     if not records:
         raise ingest.IngestError("no annotated records in input")
 
-    outputs = []
     _write_records(records, out / "records.tsv")
-    outputs.append(out / "records.tsv")
     counts = {}
     for aspect in ingest.ASPECTS:
         vocab = ingest.build_vocabulary(records, aspect, args.top_k)
-        ingest.write_vocabulary(vocab, out / f"vocab_{aspect.value}.tsv")
-        outputs.append(out / f"vocab_{aspect.value}.tsv")
+        ingest.write_vocabulary(vocab, _vocab_path(out, aspect))
         counts[aspect.value] = sum(1 for r in records if r.terms(aspect))
     meta = {"top_k": args.top_k, "max_len": args.max_len,
             "num_records": len(records), "per_aspect_records": counts}
-    with open(out / "dataset.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(out / "dataset.json")
-    manifest.write_manifest(out, "preprocess", vars_config(args), args.seed, inputs, outputs, started)
+    manifest.write_json(out / "dataset.json", meta)
+    manifest.write_manifest(out, "preprocess", vars_config(args), args.seed, inputs, _dataset_files(out), started)
     _say(args, f"preprocessed {len(records)} annotated records into {out}")
     return 0
 
@@ -113,7 +120,7 @@ def cmd_preprocess(args) -> int:
 def cmd_split(args) -> int:
     started = time.time()
     out = Path(args.out)
-    records, _, _ = _load_dataset(args.dataset)
+    records = ingest.parse_tsv(Path(args.dataset) / "records.tsv")
     by_accession = {r.accession: r for r in records}
     if args.kind == "random":
         split = splitter.random_split([r.accession for r in records], args.seed)
@@ -127,7 +134,7 @@ def cmd_split(args) -> int:
         raise splitter.SplitError(f"unknown split kind '{args.kind}'")
     aspect_counts = splitter.per_aspect_counts(split, by_accession)
     splitter.write_split(split, out, aspect_counts)
-    outputs = [out / n for n in ("train.ids", "dev.ids", "test.ids", "split.json")]
+    outputs = [out / n for n in splitter.SPLIT_FILES]
     extra = {"per_aspect_counts": aspect_counts}
     if leaked is not None:
         extra["leaking_clusters"] = len(leaked)
@@ -210,8 +217,10 @@ def _train_one_aspect(args, mode, aspect, records, vocabs, meta, out):
         start_epoch, adam_state = training.resume_state(loaded, model)
         if loss_path.exists():
             kept = _loss_rows_upto(loss_path, adam_state.step)
-    with open(loss_path, "w", encoding="utf-8") as log:
+    # the header and any kept rows are in place before steps are appended
+    with manifest.atomic_open(loss_path) as log:
         log.write("step,epoch,aspect,loss\n" + kept)
+    with open(loss_path, "a", encoding="utf-8") as log:
         final_ckpt, records_out = training.train_loop(
             model, data, cfg, mode, freeze_mask=freeze,
             checkpoint_path=ckpt_path, loss_log=log, aspect=aspect.value,
@@ -237,16 +246,17 @@ def _cmd_train(args, mode) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records, vocabs, meta = _load_dataset(args.dataset)
+    inputs = _dataset_files(args.dataset) + _split_files(args) + [p for p in (args.config, args.model_config) if p]
+    source = args.resume or getattr(args, "init", None)
     outputs = []
     for aspect in _aspects_of(args):
         ckpt_path, loss_path, loss_records = _train_one_aspect(args, mode, aspect, records, vocabs, meta, out)
         outputs += [ckpt_path, loss_path]
+        if source:
+            inputs.append(_aspect_path(source, aspect))
         if loss_records:
             _say(args, f"{aspect.value}: {len(loss_records)} optimizer steps, "
                        f"final loss {loss_records[-1].loss:.6f}")
-    inputs = [Path(args.dataset) / "records.tsv"]
-    if args.config:
-        inputs.append(args.config)
     manifest.write_manifest(out, mode, vars_config(args), args.seed, inputs, outputs, started)
     return 0
 
@@ -268,7 +278,7 @@ def _load_fusion(args, vocab_dir, threshold) -> fusion_mod.FusionModel:
         if not path:
             raise fusion_mod.FusionError(f"missing checkpoint for aspect {aspect.value}")
         models[aspect] = ckpt_io.load_checkpoint(path).to_model()
-        vocabs[aspect] = ingest.read_vocabulary(Path(vocab_dir) / f"vocab_{aspect.value}.tsv", aspect)
+        vocabs[aspect] = ingest.read_vocabulary(_vocab_path(vocab_dir, aspect), aspect)
     return fusion_mod.FusionModel(models, vocabs, threshold)
 
 
@@ -283,7 +293,7 @@ def cmd_predict(args) -> int:
         print(f"predict: {message}", file=sys.stderr)
 
     n = fusion_mod.predict_batch(args.input, fusion, pred_path, diagnostics=diag)
-    inputs = [args.input, args.bp, args.mf, args.cc]
+    inputs = [args.input, args.bp, args.mf, args.cc] + [_vocab_path(args.vocab_dir, a) for a in ingest.ASPECTS]
     manifest.write_manifest(out, "predict", vars_config(args), args.seed, inputs, [pred_path], started)
     _say(args, f"predicted {n} records -> {pred_path}")
     return 0
@@ -377,7 +387,8 @@ def cmd_evaluate(args) -> int:
 
     if not args.quiet:
         _print_table(reports[_threshold_key(thresholds[0])])
-    inputs = [Path(args.dataset) / "records.tsv"]
+    sources = [args.predictions] if args.predictions else [_aspect_path(args.model, a) for a in ingest.ASPECTS]
+    inputs = _dataset_files(args.dataset) + _split_files(args) + sources
     manifest.write_manifest(out, "evaluate", vars_config(args), args.seed, inputs, outputs, started)
     return 0
 
@@ -400,7 +411,7 @@ def cmd_verify(args) -> int:
         for p in problems:
             print(f"verify: {p}", file=sys.stderr)
         return 1
-    _say(args, "manifest inputs verified")
+    _say(args, "manifest inputs and outputs verified")
     return 0
 
 
@@ -473,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most sequences scored at once; they are sorted by length first")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("verify", parents=[common], help="re-hash a manifest's inputs")
+    p = sub.add_parser("verify", parents=[common], help="re-hash a manifest's inputs and outputs")
     p.add_argument("manifest")
     p.set_defaults(func=cmd_verify)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ingest import ASPECTS, IngestError, _check_sequence, tokenize
+from .manifest import atomic_open
 
 
 class FusionError(ValueError):
@@ -73,8 +74,7 @@ def predict_batch(input_path, fusion: FusionModel, output_path, diagnostics=None
     """Stream a TSV input through the fusion model; per-record parse errors
     are reported (via the diagnostics callback) and skipped."""
     processed = 0
-    with open(input_path, "r", encoding="utf-8") as infh, \
-            open(output_path, "w", encoding="utf-8") as outfh:
+    with open(input_path, "r", encoding="utf-8") as infh, atomic_open(output_path) as outfh:
         for line_no, line in enumerate(infh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .manifest import atomic_open
+
 # 20 standard amino acids plus the ambiguity/rare codes B, O, U, X, Z
 # (25 letters total, matching the 30-symbol token space below)
 RESIDUE_ALPHABET = "".join(sorted(set("ACDEFGHIKLMNPQRSTVWY") | set("BOUXZ")))
@@ -229,7 +231,7 @@ def tokenize(sequence: str, max_len: int = 1000) -> TokenSequence:
 
 
 def write_vocabulary(vocab: LabelVocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for rank, (term, count) in enumerate(zip(vocab.terms, vocab.counts), start=1):
             fh.write(f"{rank}\t{term}\t{count}\n")
 

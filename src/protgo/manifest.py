@@ -1,13 +1,13 @@
-"""Run manifests: every CLI command records its config, seed, input file
-digests, and outputs, written atomically at run end."""
+"""Run manifests: every CLI command records its config, seed, and the
+digests of its input and output files, written atomically at run end."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 ARTIFACT_VERSION = "0.1.0"
@@ -25,45 +25,51 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write `data` to a temp file beside `path`, then rename it over `path`,
-    so `path` always holds either the old file or the whole new one. A write
-    that raises removes the temp file."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}", suffix=".tmp")
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """The one way to create an output file: a temp file beside `path` (UTF-8
+    in text mode), renamed over `path` when the block ends and removed if it
+    raises. No fsync, so this covers a killed process, not power loss."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` as JSON with indent 2, sorted keys and a trailing newline."""
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_manifest(out_dir, command: str, config: dict, seed, inputs, outputs,
                    started: float, extra: dict | None = None) -> Path:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
         "artifact_version": ARTIFACT_VERSION,
         "input_digests": {str(p): sha256_file(p) for p in inputs},
-        "outputs": [str(p) for p in outputs],
+        "output_digests": {str(p): sha256_file(p) for p in outputs},
         "started": started,
         "finished": time.time(),
     }
     if extra:
         manifest.update(extra)
     path = out_dir / "manifest.json"
-    atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    write_json(path, manifest)
     return path
 
 
 def verify_manifest(manifest_path) -> list:
-    """Re-hash the recorded inputs; return a list of drift descriptions."""
+    """Re-hash the recorded inputs and outputs; return a list of drift
+    descriptions. A manifest without output digests has its inputs checked."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -71,10 +77,13 @@ def verify_manifest(manifest_path) -> list:
             raise ManifestError(f"{manifest_path} is not JSON: {exc}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("input_digests"), dict):
         raise ManifestError(f"{manifest_path} is not a manifest: it has no input_digests object")
+    if not isinstance(manifest.get("output_digests", {}), dict):
+        raise ManifestError(f"{manifest_path} is not a manifest: its output_digests is not an object")
     problems = []
-    for path, digest in manifest["input_digests"].items():
-        if not os.path.exists(path):
-            problems.append(f"missing input: {path}")
-        elif sha256_file(path) != digest:
-            problems.append(f"digest drift: {path}")
+    for kind in ("input", "output"):
+        for path, digest in manifest.get(f"{kind}_digests", {}).items():
+            if not os.path.exists(path):
+                problems.append(f"missing {kind}: {path}")
+            elif sha256_file(path) != digest:
+                problems.append(f"{kind} digest drift: {path}")
     return problems

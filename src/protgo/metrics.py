@@ -3,10 +3,11 @@ accuracy, and the sequence-length accuracy breakdown."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .manifest import atomic_open, write_json
 
 
 # length buckets are BUCKET_WIDTH residues wide; lengths from OVERFLOW_AT on
@@ -154,14 +155,14 @@ def aspect_report(scores, targets, threshold: float, auc, sla: LengthBucketRepor
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("fpr,tpr,threshold\n")
         for f, t, th in zip(curve.fpr, curve.tpr, curve.thresholds):
             fh.write(f"{f:.10g},{t:.10g},{th:.10g}\n")
 
 
 def write_sla_csv(report: LengthBucketReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("bucket_lo,bucket_hi,count,accuracy\n")
         for i, lo in enumerate(report.edges):
             hi = report.edges[i + 1] if i + 1 < len(report.edges) else ""
@@ -170,6 +171,4 @@ def write_sla_csv(report: LengthBucketReport, path) -> None:
 
 
 def write_report_json(per_aspect: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(per_aspect, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, per_aspect)

@@ -10,10 +10,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .ingest import ASPECTS
+from .manifest import atomic_open, write_json
 
 
 class SplitError(ValueError):
@@ -168,14 +170,15 @@ def audit_leakage(split: DatasetSplit, assignment: ClusterAssignment) -> list:
     return sorted(cid for cid, sides in sides_per_cluster.items() if len(sides) > 1)
 
 
+SPLIT_FILES = ("train.ids", "dev.ids", "test.ids", "split.json")
+
+
 def write_split(split: DatasetSplit, out_dir, per_aspect_counts=None) -> None:
     """Write train.ids/dev.ids/test.ids plus a JSON manifest."""
-    from pathlib import Path
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, accs in (("train", split.train), ("dev", split.dev), ("test", split.test)):
-        with open(out_dir / f"{name}.ids", "w", encoding="utf-8") as fh:
+        with atomic_open(out_dir / f"{name}.ids") as fh:
             for a in accs:
                 fh.write(a + "\n")
     manifest = {
@@ -186,9 +189,7 @@ def write_split(split: DatasetSplit, out_dir, per_aspect_counts=None) -> None:
     }
     if per_aspect_counts is not None:
         manifest["per_aspect_counts"] = per_aspect_counts
-    with open(out_dir / "split.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "split.json", manifest)
 
 
 def per_aspect_counts(split: DatasetSplit, records_by_accession) -> dict:
@@ -203,8 +204,6 @@ def per_aspect_counts(split: DatasetSplit, records_by_accession) -> dict:
 
 
 def read_split(split_dir) -> DatasetSplit:
-    from pathlib import Path
-
     split_dir = Path(split_dir)
     with open(split_dir / "split.json", "r", encoding="utf-8") as fh:
         try:

@@ -1,6 +1,9 @@
+import builtins
+
 import numpy as np
 import pytest
 
+from protgo import manifest
 from protgo.ingest import ASPECTS, ProteinRecord
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
@@ -30,3 +33,32 @@ def write_corpus_tsv(records, path):
 @pytest.fixture
 def tiny_records():
     return random_corpus(30, seed=7)
+
+
+class HalfWriter:
+    """Writes half of what it is given, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+@pytest.fixture
+def half_writes(monkeypatch):
+    """Calling it makes every file the output writer opens take half of its
+    first write and then fail."""
+    def writer_open(file, mode="r", **kwargs):
+        fh = builtins.open(file, mode, **kwargs)
+        return HalfWriter(fh) if "w" in mode else fh
+
+    return lambda: monkeypatch.setattr(manifest, "open", writer_open, raising=False)

@@ -1,8 +1,15 @@
 import json
+import os
+import signal
+import stat
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import protgo
 from protgo import cli
 from protgo.checkpoint import load_checkpoint
 from protgo.cli import main
@@ -218,6 +225,46 @@ class TestTrainCommands:
         log.write_text(done + "".join(beyond[:2]) + beyond[2][:3])
         finetune(four, tmp_path / "cut", "--resume", str(tmp_path / "cut" / "model_MF.ckpt"))
         assert log.read_text() == whole
+
+    def test_a_resume_killed_in_its_first_step_keeps_the_logged_rows(self, tmp_path, dataset):
+        run = _finetune(tmp_path, dataset, extra=["--aspect", "MF"])
+        log = run / "loss_MF.csv"
+        logged = log.read_text()
+        assert len(logged.splitlines()) > 1
+        four = _write(tmp_path / "four.json", {**FT_JSON, "epochs": 4})
+        kill_in_first_step = ("import os, signal, sys\n"
+                              "from protgo import cli, training\n"
+                              "training.adam_step = lambda *a, **k: os.kill(os.getpid(), signal.SIGKILL)\n"
+                              "cli.main(sys.argv[1:])\n")
+        src = str(Path(protgo.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", kill_in_first_step, "finetune", "--dataset", str(dataset),
+             "--config", four, "--aspect", "MF", "--resume", str(run / "model_MF.ckpt"),
+             "--out", str(run), "--quiet"],
+            env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        assert proc.returncode == -signal.SIGKILL
+        assert log.read_text() == logged
+
+    def test_a_failed_resume_keeps_the_loss_log(self, tmp_path, dataset, half_writes):
+        run = _finetune(tmp_path, dataset, extra=["--aspect", "MF"])
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        half_writes()
+        assert main(["finetune", "--dataset", str(dataset), "--aspect", "MF", "--resume",
+                     str(run / "model_MF.ckpt"), "--out", str(run), "--quiet"]) == 2
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    def test_outputs_get_the_mode_open_gives_under_the_umask(self, tmp_path, corpus):
+        previous = os.umask(0o022)
+        try:
+            dataset = tmp_path / "ds022"
+            assert main(["preprocess", str(corpus), "--top-k", "3", "--max-len", "50",
+                         "--out", str(dataset), "--quiet"]) == 0
+            run = _finetune(tmp_path, dataset, "run022")
+        finally:
+            os.umask(previous)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for d in (dataset, run) for p in d.iterdir()}
+        assert "model_BP.ckpt" in modes and "manifest.json" in modes
+        assert modes == dict.fromkeys(modes, 0o644)
 
 
 class TestPredictCommand:
@@ -445,11 +492,55 @@ class TestRemovedOptions:
         assert exc.value.code == 2
 
 
+def _flip_last_byte(path):
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
+
+
 class TestVerify:
     def test_clean_and_drifted(self, tmp_path, corpus, dataset):
         manifest = dataset / "manifest.json"
         assert main(["verify", str(manifest), "--quiet"]) == 0
         corpus.write_text(corpus.read_text() + "# drift\n")
+        assert main(["verify", str(manifest), "--quiet"]) == 1
+
+    def _drifts_after_edit(self, capsys, run, path, kind):
+        manifest = str(run / "manifest.json")
+        assert main(["verify", manifest, "--quiet"]) == 0
+        _flip_last_byte(path)
+        capsys.readouterr()
+        assert main(["verify", manifest, "--quiet"]) == 1
+        assert capsys.readouterr().err == f"verify: {kind} digest drift: {path}\n"
+
+    def test_a_changed_output_drifts(self, tmp_path, dataset, capsys):
+        run = _finetune(tmp_path, dataset)
+        query = tmp_path / "q.tsv"
+        query.write_text("Q1\tMKVLAE\t\n")
+        pred = tmp_path / "pred"
+        assert main(["predict", str(query), "--bp", str(run / "model_BP.ckpt"),
+                     "--mf", str(run / "model_MF.ckpt"), "--cc", str(run / "model_CC.ckpt"),
+                     "--vocab-dir", str(dataset), "--out", str(pred), "--quiet"]) == 0
+        self._drifts_after_edit(capsys, pred, pred / "predictions.tsv", "output")
+        self._drifts_after_edit(capsys, run, run / "model_CC.ckpt", "output")
+
+    def test_a_changed_input_drifts(self, tmp_path, dataset, capsys):
+        assert main(_evaluate(tmp_path, dataset, "\n") + ["--quiet"]) == 0
+        self._drifts_after_edit(capsys, tmp_path / "e", tmp_path / "pred.tsv", "input")
+        pre = tmp_path / "pre"
+        model_cfg = _write(tmp_path / "model.json", MODEL_JSON)
+        assert main(["pretrain", "--dataset", str(dataset), "--model-config", model_cfg,
+                     "--aspect", "MF", "--out", str(pre), "--quiet"]) == 0
+        run = _finetune(tmp_path, dataset, extra=["--aspect", "MF", "--init", str(pre / "model_MF.ckpt")])
+        self._drifts_after_edit(capsys, run, pre / "model_MF.ckpt", "input")
+
+    def test_a_manifest_without_output_digests_checks_its_inputs(self, tmp_path, corpus, dataset):
+        manifest = dataset / "manifest.json"
+        recorded = json.loads(manifest.read_text())
+        del recorded["output_digests"]
+        manifest.write_text(json.dumps(recorded))
+        _flip_last_byte(dataset / "records.tsv")
+        assert main(["verify", str(manifest), "--quiet"]) == 0
+        _flip_last_byte(corpus)
         assert main(["verify", str(manifest), "--quiet"]) == 1
 
     def test_every_command_writes_manifest(self, tmp_path, dataset):

@@ -222,34 +222,11 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
-    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
-        import os
-
-        from protgo import manifest
-
+    def test_failed_save_keeps_previous_file(self, tmp_path, half_writes):
         path = tmp_path / "m.ckpt"
         save_checkpoint(checkpoint_from_model(_model(seed=1), FreezeMask.none(DESK)), path)
         before = path.read_bytes()
-        real_fdopen = os.fdopen
-
-        class HalfWriter:
-            """Writes half of what it is given, then fails like a full disk."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(data[: len(data) // 2])
-                self.fh.flush()
-                raise OSError("no space left on device")
-
-        monkeypatch.setattr(manifest.os, "fdopen", lambda fd, mode: HalfWriter(real_fdopen(fd, mode)))
+        half_writes()
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(checkpoint_from_model(_model(seed=2), FreezeMask.none(DESK)), path)
         assert path.read_bytes() == before
