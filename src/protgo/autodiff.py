@@ -7,7 +7,9 @@ order and accumulates gradients into every tensor created with
 
 Kept deliberately small: only the operations the encoder model needs, no
 broadcasting beyond bias addition over the last axis, and shape mismatches
-raise immediately.
+raise immediately. ``scale``, ``add_constant`` and ``softmax`` take a
+numpy-style ``out``; it may be the input's buffer if no other op reads the
+input, since none of their own backwards reads the input's value.
 """
 
 from __future__ import annotations
@@ -149,9 +151,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def scale(a: Tensor, c: float) -> Tensor:
+def scale(a: Tensor, c: float, out=None) -> Tensor:
+    """a * c, written into `out` when given; `out` may be a.data."""
     c = float(c)
-    return _make(a.data * c, (a,), lambda g: (g * c,))
+    return _make(np.multiply(a.data, c, out=out), (a,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -181,8 +184,9 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    out = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor, axis: int = -1, out=None) -> Tensor:
+    """Softmax along `axis`, into `out` when given; `out` may be a.data."""
+    out = np.subtract(a.data, a.data.max(axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
 
@@ -263,9 +267,10 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make(out, (table,), backward)
 
 
-def add_constant(a: Tensor, c: np.ndarray) -> Tensor:
-    """Add a non-differentiable array (broadcastable), e.g. an attention mask."""
-    return _make(a.data + c, (a,), lambda g: (_unbroadcast(g, a.shape),))
+def add_constant(a: Tensor, c: np.ndarray, out=None) -> Tensor:
+    """Add a non-differentiable array (broadcastable), e.g. an attention mask,
+    written into `out` when given; `out` may be a.data."""
+    return _make(np.add(a.data, c, out=out), (a,), lambda g: (_unbroadcast(g, a.shape),))
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -94,7 +94,6 @@ def cmd_preprocess(args) -> int:
             raise ingest.IngestError(f"{flag} must be >= 1, got {value}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    inputs = [args.input] + ([args.annotations] if args.annotations else [])
     if args.annotations:
         records = ingest.parse_fasta_tsv(args.input, args.annotations)
     else:
@@ -102,6 +101,7 @@ def cmd_preprocess(args) -> int:
     records = ingest.filter_unannotated(records)
     if not records:
         raise ingest.IngestError("no annotated records in input")
+    inputs = manifest.digests([args.input] + ([args.annotations] if args.annotations else []))
 
     _write_records(records, out / "records.tsv")
     counts = {}
@@ -121,6 +121,7 @@ def cmd_split(args) -> int:
     started = time.time()
     out = Path(args.out)
     records = ingest.parse_tsv(Path(args.dataset) / "records.tsv")
+    inputs = manifest.digests([Path(args.dataset) / "records.tsv"])
     by_accession = {r.accession: r for r in records}
     if args.kind == "random":
         split = splitter.random_split([r.accession for r in records], args.seed)
@@ -138,8 +139,7 @@ def cmd_split(args) -> int:
     extra = {"per_aspect_counts": aspect_counts}
     if leaked is not None:
         extra["leaking_clusters"] = len(leaked)
-    manifest.write_manifest(out, "split", vars_config(args), args.seed,
-                            [Path(args.dataset) / "records.tsv"], outputs, started, extra)
+    manifest.write_manifest(out, "split", vars_config(args), args.seed, inputs, outputs, started, extra)
     _say(args, f"{args.kind} split: train={len(split.train)} dev={len(split.dev)} test={len(split.test)}")
     return 0
 
@@ -246,14 +246,14 @@ def _cmd_train(args, mode) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records, vocabs, meta = _load_dataset(args.dataset)
-    inputs = _dataset_files(args.dataset) + _split_files(args) + [p for p in (args.config, args.model_config) if p]
     source = args.resume or getattr(args, "init", None)
+    aspects = _aspects_of(args)
+    read = [p for p in (args.config, args.model_config) if p] + [_aspect_path(source, a) for a in aspects if source]
+    inputs = manifest.digests(_dataset_files(args.dataset) + _split_files(args) + read)
     outputs = []
-    for aspect in _aspects_of(args):
+    for aspect in aspects:
         ckpt_path, loss_path, loss_records = _train_one_aspect(args, mode, aspect, records, vocabs, meta, out)
         outputs += [ckpt_path, loss_path]
-        if source:
-            inputs.append(_aspect_path(source, aspect))
         if loss_records:
             _say(args, f"{aspect.value}: {len(loss_records)} optimizer steps, "
                        f"final loss {loss_records[-1].loss:.6f}")
@@ -292,8 +292,9 @@ def cmd_predict(args) -> int:
     def diag(message):
         print(f"predict: {message}", file=sys.stderr)
 
+    inputs = manifest.digests([args.input, args.bp, args.mf, args.cc]
+                              + [_vocab_path(args.vocab_dir, a) for a in ingest.ASPECTS])
     n = fusion_mod.predict_batch(args.input, fusion, pred_path, diagnostics=diag)
-    inputs = [args.input, args.bp, args.mf, args.cc] + [_vocab_path(args.vocab_dir, a) for a in ingest.ASPECTS]
     manifest.write_manifest(out, "predict", vars_config(args), args.seed, inputs, [pred_path], started)
     _say(args, f"predicted {n} records -> {pred_path}")
     return 0
@@ -350,6 +351,8 @@ def cmd_evaluate(args) -> int:
         raise metrics.MetricsError("empty test split")
     if not args.model and not args.predictions:
         raise metrics.MetricsError("evaluate needs --model or --predictions")
+    sources = [args.predictions] if args.predictions else [_aspect_path(args.model, a) for a in ingest.ASPECTS]
+    inputs = manifest.digests(_dataset_files(args.dataset) + _split_files(args) + sources)
 
     predictions = _read_predictions(args.predictions) if args.predictions else None
     outputs = []
@@ -387,8 +390,6 @@ def cmd_evaluate(args) -> int:
 
     if not args.quiet:
         _print_table(reports[_threshold_key(thresholds[0])])
-    sources = [args.predictions] if args.predictions else [_aspect_path(args.model, a) for a in ingest.ASPECTS]
-    inputs = _dataset_files(args.dataset) + _split_files(args) + sources
     manifest.write_manifest(out, "evaluate", vars_config(args), args.seed, inputs, outputs, started)
     return 0
 

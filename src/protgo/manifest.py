@@ -1,5 +1,5 @@
-"""Run manifests: every CLI command records its config, seed, and the
-digests of its input and output files, written atomically at run end."""
+"""Run manifests: every CLI command records its config, seed, the digests of
+its inputs (hashed before it writes) and of its outputs, atomically at run end."""
 
 from __future__ import annotations
 
@@ -47,29 +47,34 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def write_manifest(out_dir, command: str, config: dict, seed, inputs, outputs,
+def digests(paths) -> dict:
+    """Path -> SHA-256 of each file, e.g. a command's inputs before it writes."""
+    return {str(Path(p)): sha256_file(p) for p in paths}
+
+
+def write_manifest(out_dir, command: str, config: dict, seed, input_digests: dict, outputs,
                    started: float, extra: dict | None = None) -> Path:
-    out_dir = Path(out_dir)
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
         "artifact_version": ARTIFACT_VERSION,
-        "input_digests": {str(p): sha256_file(p) for p in inputs},
-        "output_digests": {str(p): sha256_file(p) for p in outputs},
+        "input_digests": input_digests,
+        "output_digests": digests(outputs),
         "started": started,
         "finished": time.time(),
     }
     if extra:
         manifest.update(extra)
-    path = out_dir / "manifest.json"
+    path = Path(out_dir) / "manifest.json"
     write_json(path, manifest)
     return path
 
 
 def verify_manifest(manifest_path) -> list:
     """Re-hash the recorded inputs and outputs; return a list of drift
-    descriptions. A manifest without output digests has its inputs checked."""
+    descriptions. A manifest without output digests has its inputs checked;
+    a path the run read and then overwrote is checked only as an output."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -80,8 +85,10 @@ def verify_manifest(manifest_path) -> list:
     if not isinstance(manifest.get("output_digests", {}), dict):
         raise ManifestError(f"{manifest_path} is not a manifest: its output_digests is not an object")
     problems = []
-    for kind in ("input", "output"):
-        for path, digest in manifest.get(f"{kind}_digests", {}).items():
+    outputs = manifest.get("output_digests", {})
+    inputs = {p: d for p, d in manifest["input_digests"].items() if p not in outputs}
+    for kind, recorded in (("input", inputs), ("output", outputs)):
+        for path, digest in recorded.items():
             if not os.path.exists(path):
                 problems.append(f"missing {kind}: {path}")
             elif sha256_file(path) != digest:

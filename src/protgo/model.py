@@ -211,10 +211,12 @@ class ProteinEncoder:
         k = self._split_heads(ad.add(ad.matmul(x, p[pre + "wk"]), p[pre + "bk"]), B, L)
         v = self._split_heads(ad.add(ad.matmul(x, p[pre + "wv"]), p[pre + "bv"]), B, L)
 
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+        # scale, key bias and softmax overwrite q·kᵀ: one B·H·L² array per layer
+        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+        scores = ad.scale(scores, 1.0 / np.sqrt(dh), out=scores.data)
         if not pad_mask.all():  # without padding the key bias is all zeros
-            scores = ad.add_constant(scores, (1.0 - pad_mask)[:, None, None, :] * -1e30)
-        attn = ad.softmax(scores, axis=-1)
+            scores = ad.add_constant(scores, (1.0 - pad_mask)[:, None, None, :] * -1e30, out=scores.data)
+        attn = ad.softmax(scores, axis=-1, out=scores.data)
         ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, L, c.d_model))
         attn_out = ad.add(ad.matmul(ctx, p[pre + "wo"]), p[pre + "bo"])
         if drop_rng is not None and c.dropout > 0:

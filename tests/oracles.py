@@ -158,3 +158,34 @@ def score_one_at_a_time(model, tokens):
         ids, mask = pad_batch([t])
         rows.append(ad.sigmoid(model.forward_classify(ids, mask).data[0]))
     return np.stack(rows)
+
+
+def encoder_layer_out_of_place(self, x, i, pad_mask, drop_rng=None):
+    """ProteinEncoder.encoder_layer as it was before attention wrote into
+    one buffer: q·kᵀ, the scaled scores, the biased scores and the
+    probabilities are four arrays."""
+    c = self.config
+    p = self.params
+    pre = f"layer_{i}."
+    B, L, _ = x.shape
+    dh = c.d_model // c.num_heads
+
+    q = self._split_heads(ad.add(ad.matmul(x, p[pre + "wq"]), p[pre + "bq"]), B, L)
+    k = self._split_heads(ad.add(ad.matmul(x, p[pre + "wk"]), p[pre + "bk"]), B, L)
+    v = self._split_heads(ad.add(ad.matmul(x, p[pre + "wv"]), p[pre + "bv"]), B, L)
+
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    if not pad_mask.all():  # without padding the key bias is all zeros
+        scores = ad.add_constant(scores, (1.0 - pad_mask)[:, None, None, :] * -1e30)
+    attn = ad.softmax(scores, axis=-1)
+    ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, L, c.d_model))
+    attn_out = ad.add(ad.matmul(ctx, p[pre + "wo"]), p[pre + "bo"])
+    if drop_rng is not None and c.dropout > 0:
+        attn_out = ad.dropout(attn_out, c.dropout, drop_rng)
+    h = ad.layer_norm(ad.add(x, attn_out), p[pre + "ln1_gamma"], p[pre + "ln1_beta"])
+
+    ff = ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(h, p[pre + "ffn_w1"]), p[pre + "ffn_b1"])),
+                          p[pre + "ffn_w2"]), p[pre + "ffn_b2"])
+    if drop_rng is not None and c.dropout > 0:
+        ff = ad.dropout(ff, c.dropout, drop_rng)
+    return ad.layer_norm(ad.add(h, ff), p[pre + "ln2_gamma"], p[pre + "ln2_beta"])

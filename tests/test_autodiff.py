@@ -177,6 +177,7 @@ class TestGradientFidelity:
     @pytest.mark.parametrize("op_name", [
         "matmul", "softmax", "layer_norm", "gelu", "mean_pool",
         "embedding", "add", "scale", "transpose", "reshape",
+        "scale_out", "add_constant_out", "softmax_out",
     ])
     def test_op_matches_finite_differences(self, op_name):
         rng = np.random.default_rng(hash(op_name) % 2**31)
@@ -201,6 +202,17 @@ class TestGradientFidelity:
                 out = ad.add(ad.matmul(x, w), constant(bias))
             elif op_name == "scale":
                 out = ad.scale(ad.matmul(x, w), -1.7)
+            elif op_name.endswith("_out"):
+                # written into the input's own buffer: the same values as the
+                # out-of-place call, and the same gradients
+                op = {"scale_out": lambda a, **out: ad.scale(a, -1.7, **out),
+                      "add_constant_out": lambda a, **out: ad.add_constant(a, bias, **out),
+                      "softmax_out": lambda a, **out: ad.softmax(a, axis=-1, **out)}[op_name]
+                expected = op(ad.matmul(x, w)).data
+                product = ad.matmul(x, w)
+                out = op(product, out=product.data)
+                assert out.data is product.data
+                np.testing.assert_array_equal(out.data, expected)
             elif op_name == "transpose":
                 out = ad.transpose(ad.matmul(x, w), (1, 0))
             else:

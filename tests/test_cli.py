@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -532,6 +533,18 @@ class TestVerify:
                      "--aspect", "MF", "--out", str(pre), "--quiet"]) == 0
         run = _finetune(tmp_path, dataset, extra=["--aspect", "MF", "--init", str(pre / "model_MF.ckpt")])
         self._drifts_after_edit(capsys, run, pre / "model_MF.ckpt", "input")
+
+    def test_an_in_place_resume_records_the_checkpoint_it_read(self, tmp_path, dataset):
+        run = _finetune(tmp_path, dataset, extra=["--aspect", "MF"])
+        ckpt = run / "model_MF.ckpt"
+        read = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+        two = _write(tmp_path / "two.json", {**FT_JSON, "epochs": 2})
+        assert main(["finetune", "--dataset", str(dataset), "--config", two, "--aspect", "MF",
+                     "--resume", str(ckpt), "--out", str(run), "--quiet"]) == 0
+        recorded = json.loads((run / "manifest.json").read_text())
+        assert recorded["input_digests"][str(ckpt)] == read
+        assert recorded["output_digests"][str(ckpt)] == hashlib.sha256(ckpt.read_bytes()).hexdigest() != read
+        assert main(["verify", str(run / "manifest.json"), "--quiet"]) == 0
 
     def test_a_manifest_without_output_digests_checks_its_inputs(self, tmp_path, corpus, dataset):
         manifest = dataset / "manifest.json"

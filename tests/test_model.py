@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from protgo import autodiff as ad
 from protgo import ingest
 from protgo.checkpoint import (
     Checkpoint, CheckpointError, checkpoint_from_model, load_checkpoint, save_checkpoint,
@@ -8,7 +11,7 @@ from protgo.checkpoint import (
 from protgo.model import (
     FreezeMask, ModelConfig, ModelError, ProteinEncoder, pad_batch, parameter_groups,
 )
-from oracles import layer_norm_ref, score_one_at_a_time
+from oracles import encoder_layer_out_of_place, layer_norm_ref, score_one_at_a_time
 
 DESK = ModelConfig(num_layers=2, d_model=8, num_heads=2, d_ff=16, max_len=16,
                    num_labels=4, dropout=0.0)
@@ -91,6 +94,102 @@ class TestEncoderLayer:
         np.testing.assert_array_equal(a, b)
 
 
+def _random_tokens(rng, lengths, max_len):
+    residues = list("ACDEFGHIKLMNPQRSTVWY")
+    return [ingest.tokenize("".join(rng.choice(residues, size=int(n))), max_len) for n in lengths]
+
+
+class TestAttentionInOneBuffer:
+    """encoder_layer writes scale, key bias and softmax into q·kᵀ's buffer;
+    the out-of-place layer it replaced must give the same bits."""
+
+    @staticmethod
+    def _run(model, ids, mask, head):
+        """The head's output and the gradient of every parameter a backward
+        through it reaches, at dropout 0.1 with a fixed dropout stream."""
+        model.zero_grads()
+        drop = np.random.default_rng(5)
+        if head == "classify":
+            logits = model.forward_classify(ids, mask, drop)
+            targets = np.random.default_rng(6).integers(0, 2, size=logits.shape)
+            loss = ad.bce_with_logits(logits, targets)
+        else:
+            logits = model.forward_mlm(ids, mask, drop)
+            positions = np.flatnonzero(mask.ravel())[::3]
+            loss = ad.nll_from_logits(logits, positions, ids.ravel()[positions])
+        loss.backward()
+        return logits.data, {k: t.grad for k, t in model.params.items() if t.grad is not None}
+
+    @pytest.mark.parametrize("num_heads", [2, 4])  # d_h 16 and 8
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("head", ["classify", "mlm"])
+    def test_outputs_and_gradients_match_the_out_of_place_layer(self, monkeypatch, num_heads, padded, head):
+        cfg = ModelConfig(num_layers=2, d_model=32, num_heads=num_heads, d_ff=48, max_len=64,
+                          num_labels=6, dropout=0.1)
+        lengths = [40, 23, 9] if padded else [40, 40, 40]
+        ids, mask = pad_batch(_random_tokens(np.random.default_rng(2), lengths, 64))
+        assert mask.all() != padded
+        got, got_grads = self._run(ProteinEncoder(cfg, seed=8), ids, mask, head)
+        monkeypatch.setattr(ProteinEncoder, "encoder_layer", encoder_layer_out_of_place)
+        want, want_grads = self._run(ProteinEncoder(cfg, seed=8), ids, mask, head)
+        assert np.array_equal(got, want)
+        assert got_grads.keys() == want_grads.keys() >= {f"layer_{i}.wq" for i in range(2)}
+        for name, grad in want_grads.items():
+            assert np.array_equal(got_grads[name], grad), name
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_score_matches_the_out_of_place_layer(self, monkeypatch, batch_size):
+        m = _model(seed=4, max_len=64, d_model=16, num_heads=2)
+        rng = np.random.default_rng(9)
+        tokens = _random_tokens(rng, rng.integers(1, 90, 30), 64)  # some truncated to 64
+        got = m.score(tokens, batch_size)
+        monkeypatch.setattr(ProteinEncoder, "encoder_layer", encoder_layer_out_of_place)
+        assert np.array_equal(got, m.score(tokens, batch_size))
+
+    # B=2, L=302, 2 heads: one B·H·L² float64 array is 2.9 MB, so the
+    # activations of d16 layers are small beside it
+    MEMORY_CFG = ModelConfig(num_layers=2, d_model=16, num_heads=2, d_ff=32, max_len=300,
+                             num_labels=4, dropout=0.0)
+
+    def _memory_batch(self):
+        ids, mask = pad_batch(_random_tokens(np.random.default_rng(1), [300, 250], 300))
+        B, L = ids.shape
+        assert L == 302
+        return ids, mask, B * self.MEMORY_CFG.num_heads * L * L * 8
+
+    @staticmethod
+    def _traced(forward):
+        """forward()'s result, the bytes traced when it returns and the peak
+        while it runs, both above what was traced before it."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = forward()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, kept - base, peak - base
+
+    def test_graph_keeps_one_score_array_per_layer(self):
+        m = ProteinEncoder(self.MEMORY_CFG, seed=0)
+        ids, mask, score_bytes = self._memory_batch()
+        logits, kept, _ = self._traced(lambda: m.forward_classify(ids, mask))
+        assert logits._parents
+        assert kept < (self.MEMORY_CFG.num_layers + 2) * score_bytes, kept / score_bytes
+
+    def test_inference_peak_is_under_two_score_arrays(self):
+        m = ProteinEncoder(self.MEMORY_CFG, seed=0)
+        ids, mask, score_bytes = self._memory_batch()
+
+        def forward():
+            with ad.no_grad():
+                return m.forward_classify(ids, mask)
+
+        _, _, peak = self._traced(forward)
+        assert peak < 2 * score_bytes, peak / score_bytes
+
+
 class TestForwardClassify:
     def test_zero_classifier_gives_bias(self):
         m = _model()
@@ -130,9 +229,7 @@ class TestScore:
     def test_matches_one_at_a_time_oracle(self, batch_size):
         m = _model(seed=4, max_len=64)
         rng = np.random.default_rng(batch_size)
-        residues = list("ACDEFGHIKLMNPQRSTVWY")
-        tokens = [ingest.tokenize("".join(rng.choice(residues, size=int(n))), 64)
-                  for n in rng.integers(1, 90, size=200)]  # some truncated to 64
+        tokens = _random_tokens(rng, rng.integers(1, 90, size=200), 64)  # some truncated to 64
         got = m.score(tokens, batch_size)
         np.testing.assert_allclose(got, score_one_at_a_time(m, tokens), rtol=0, atol=1e-9)
 

@@ -44,7 +44,7 @@ WRITERS = {
     "sla": lambda out: lambda: metrics.write_sla_csv(_length_report(), out / "sla_BP.csv"),
     "report": lambda out: lambda: metrics.write_report_json({"BP": {"f1": 0.5}}, out / "report.json"),
     "predictions": _predictions,
-    "manifest": lambda out: lambda: manifest.write_manifest(out, "split", {}, 0, [], [], 0.0),
+    "manifest": lambda out: lambda: manifest.write_manifest(out, "split", {}, 0, {}, [], 0.0),
 }
 
 
