@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 
 import numpy as np
 
@@ -92,21 +93,23 @@ def _toposort(root):
     return order
 
 
-# False inside a no_grad() block: ops then record no parents and no backward.
-_grad_enabled = True
+class _GradMode(threading.local):
+    enabled = True  # False inside this thread's no_grad() block: ops then record no graph
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Inference mode: tensors made inside the block keep no graph, so
-    intermediate activations are freed as soon as the forward pass moves on."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Inference mode for the calling thread: tensors it makes inside the block
+    keep no graph, so activations are freed as soon as the forward pass moves on."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 def _needs_graph(*tensors):
@@ -114,7 +117,7 @@ def _needs_graph(*tensors):
 
 
 def _make(data, parents, backward):
-    if _grad_enabled and _needs_graph(*parents):
+    if _grad_mode.enabled and _needs_graph(*parents):
         out = Tensor(data, _parents=tuple(parents))
         out._backward = backward
         return out

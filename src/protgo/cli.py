@@ -295,7 +295,8 @@ def cmd_predict(args) -> int:
     inputs = manifest.digests([args.input, args.bp, args.mf, args.cc]
                               + [_vocab_path(args.vocab_dir, a) for a in ingest.ASPECTS])
     n = fusion_mod.predict_batch(args.input, fusion, pred_path, diagnostics=diag)
-    manifest.write_manifest(out, "predict", vars_config(args), args.seed, inputs, [pred_path], started)
+    threads = dict(zip(("scoring_threads", "blas_threads"), fusion_mod.scoring_threads()))
+    manifest.write_manifest(out, "predict", vars_config(args), args.seed, inputs, [pred_path], started, threads)
     _say(args, f"predicted {n} records -> {pred_path}")
     return 0
 

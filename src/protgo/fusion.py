@@ -3,10 +3,19 @@ their thresholded predictions into the final annotation set."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
 
 from .ingest import ASPECTS, IngestError, _check_sequence, tokenize
 from .manifest import atomic_open
+
+BLOCK_LINES = 256  # input lines parsed, and their queries queued for scoring, at a time
 
 
 class FusionError(ValueError):
@@ -70,32 +79,69 @@ def format_prediction(pred: Prediction) -> str:
     return "".join(lines)
 
 
-def predict_batch(input_path, fusion: FusionModel, output_path, diagnostics=None) -> int:
-    """Stream a TSV input through the fusion model; per-record parse errors
-    are reported (via the diagnostics callback) and skipped."""
-    processed = 0
-    with open(input_path, "r", encoding="utf-8") as infh, atomic_open(output_path) as outfh:
-        for line_no, line in enumerate(infh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            try:
-                accession, sequence = _parse_prediction_line(line, line_no)
-                pred = fusion.predict(sequence, accession)
-            except (IngestError, FusionError) as exc:
-                if diagnostics is not None:
-                    diagnostics(f"line {line_no}: {exc}")
-                continue
-            outfh.write(format_prediction(pred))
-            processed += 1
-    return processed
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, set_
 
 
-def _parse_prediction_line(line: str, line_no: int):
-    cols = line.split("\t")
+def scoring_threads():
+    """(pool size, BLAS threads in it), or (1, None) where BLAS cannot be set."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return (cpus, 1) if _openblas() else (1, None)
+
+
+@contextlib.contextmanager
+def _scoring_pool():
+    """Threads for FusionModel.predict, with BLAS at one thread and one malloc arena."""
+    get_blas, set_blas = _openblas() or (lambda: None, lambda n: None)
+    previous = get_blas()
+    with contextlib.suppress(AttributeError, TypeError):  # mallopt is glibc's
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-8, 1)  # M_ARENA_MAX: the process keeps one arena, so later commands reuse what workers free
+    pool = ThreadPoolExecutor(scoring_threads()[0])
+    try:
+        set_blas(1)  # one thread per forward: BLAS threads on top of the workers would oversubscribe the CPUs
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)  # queued calls are dropped, running ones joined
+        set_blas(previous)
+
+
+def _submit_line(pool, fusion, line: str, line_no: int):
+    """The future Prediction of one input line, parsed here, or the IngestError rejecting it."""
+    cols = line.rstrip("\n").split("\t")
     if len(cols) not in (2, 3):
-        raise IngestError(f"expected 2 or 3 tab-separated columns, got {len(cols)}")
-    accession = cols[0]
-    if not accession:
-        raise IngestError("empty accession")
-    return accession, _check_sequence(cols[1], line_no)
+        return IngestError(f"expected 2 or 3 tab-separated columns, got {len(cols)}")
+    if not cols[0]:
+        return IngestError("empty accession")
+    try:
+        return pool.submit(fusion.predict, _check_sequence(cols[1], line_no), cols[0])
+    except IngestError as exc:
+        return exc
+
+
+def predict_batch(input_path, fusion: FusionModel, output_path, diagnostics=None) -> int:
+    """Stream a TSV input, BLOCK_LINES lines at a time, through the fusion model on the pool;
+    per-record errors are reported (via the diagnostics callback) and skipped, in input order."""
+    processed = 0
+    with open(input_path, "r", encoding="utf-8") as infh, atomic_open(output_path) as outfh, _scoring_pool() as pool:
+        lines = enumerate(infh, start=1)
+        while block := list(islice(lines, BLOCK_LINES)):
+            jobs = [(n, _submit_line(pool, fusion, line, n))
+                    for n, line in block if line.rstrip("\n") and not line.startswith("#")]
+            for line_no, job in jobs:
+                error = job if isinstance(job, IngestError) else job.exception()
+                if isinstance(error, (IngestError, FusionError)):
+                    if diagnostics is not None:
+                        diagnostics(f"line {line_no}: {error}")
+                    continue
+                outfh.write(format_prediction(job.result()))
+                processed += 1
+    return processed

@@ -3,7 +3,8 @@
 import numpy as np
 
 from protgo import autodiff as ad
-from protgo.ingest import TOKEN_VOCAB, IngestError, encode_labels
+from protgo.fusion import FusionError, format_prediction
+from protgo.ingest import TOKEN_VOCAB, IngestError, _check_sequence, encode_labels
 from protgo.model import pad_batch
 from protgo.splitter import ClusterAssignment, kmer_similarity
 
@@ -189,3 +190,28 @@ def encoder_layer_out_of_place(self, x, i, pad_mask, drop_rng=None):
     if drop_rng is not None and c.dropout > 0:
         ff = ad.dropout(ff, c.dropout, drop_rng)
     return ad.layer_norm(ad.add(h, ff), p[pre + "ln2_gamma"], p[pre + "ln2_beta"])
+
+
+def predict_batch_serial(input_path, fusion, output_path, diagnostics=None):
+    """fusion.predict_batch as it was before the scoring pool: each line is
+    parsed, scored and written in turn, on the calling thread."""
+    processed = 0
+    with open(input_path, "r", encoding="utf-8") as infh, open(output_path, "w", encoding="utf-8") as outfh:
+        for line_no, line in enumerate(infh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            try:
+                cols = line.split("\t")
+                if len(cols) not in (2, 3):
+                    raise IngestError(f"expected 2 or 3 tab-separated columns, got {len(cols)}")
+                if not cols[0]:
+                    raise IngestError("empty accession")
+                pred = fusion.predict(_check_sequence(cols[1], line_no), cols[0])
+            except (IngestError, FusionError) as exc:
+                if diagnostics is not None:
+                    diagnostics(f"line {line_no}: {exc}")
+                continue
+            outfh.write(format_prediction(pred))
+            processed += 1
+    return processed

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -169,6 +171,61 @@ class TestNoGrad:
             ad.matmul(x, ad.transpose(x, (1, 0)))
         tensor_sum(ad.matmul(x, ad.transpose(x, (1, 0)))).backward()
         np.testing.assert_allclose(x.grad, [[2.0, 4.0]])
+
+    def test_a_block_in_another_thread_leaves_this_threads_graph_on(self):
+        """Each thread has its own mode: while a worker sits in no_grad() the
+        main thread records graphs, and blocks left in either order leave
+        both threads recording."""
+        x = _param([[1.0, 2.0]])
+        entered, leave = threading.Event(), threading.Event()
+        worker_records = []
+
+        def infer():
+            with ad.no_grad():
+                entered.set()
+                leave.wait(timeout=10)
+            worker_records.append(bool(ad.matmul(x, ad.transpose(x, (1, 0)))._parents))
+
+        worker = threading.Thread(target=infer)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            assert ad.matmul(x, ad.transpose(x, (1, 0)))._parents
+            with ad.no_grad():
+                leave.set()
+                worker.join(timeout=10)
+        finally:
+            leave.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert worker_records == [True]
+        assert ad.matmul(x, ad.transpose(x, (1, 0)))._parents
+
+    def test_many_threads_switching_often_keep_their_own_mode(self):
+        x = _param([[1.0, 2.0]])
+        wrong = []
+
+        def work():
+            for _ in range(200):
+                with ad.no_grad():
+                    if ad.matmul(x, ad.transpose(x, (1, 0)))._parents:
+                        wrong.append("graph inside no_grad")
+                if not ad.matmul(x, ad.transpose(x, (1, 0)))._parents:
+                    wrong.append("no graph outside no_grad")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert ad.matmul(x, ad.transpose(x, (1, 0)))._parents
 
 
 class TestGradientFidelity:

@@ -280,6 +280,9 @@ class TestPredictCommand:
                      "--out", str(out), "--quiet"]) == 0
         lines = (out / "predictions.tsv").read_text().splitlines()
         assert len(lines) == 9  # 3 aspects x top-3 vocab
+        recorded = json.loads((out / "manifest.json").read_text())
+        threads = (recorded["scoring_threads"], recorded["blas_threads"])
+        assert threads in ((len(os.sched_getaffinity(0)), 1), (1, None))
 
     def test_missing_checkpoint_file(self, tmp_path, dataset):
         query = tmp_path / "q.tsv"

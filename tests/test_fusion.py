@@ -1,10 +1,16 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from protgo import fusion as fusion_mod
 from protgo import ingest
 from protgo.fusion import FusionError, FusionModel, format_prediction, predict_batch
 from protgo.ingest import ASPECTS, GoAspect, LabelVocabulary
 from protgo.model import ModelConfig, ProteinEncoder, pad_batch
+from oracles import predict_batch_serial
 
 CFG = ModelConfig(num_layers=1, d_model=8, num_heads=2, d_ff=16, max_len=16,
                   num_labels=2, dropout=0.0)
@@ -123,6 +129,98 @@ class TestPredictBatch:
         text = out.read_text()
         lines = text.splitlines()
         assert lines and (lines[0] == "P1\t-\t-\t-" or lines[0].split("\t")[3] == "1.000000")
+
+
+def _mixed_queries(path, n):
+    """n input lines of every kind predict_batch meets: queries of 2 and 3
+    columns, blank and comment lines, and rows it must reject."""
+    rng = np.random.default_rng(0)
+    kinds = [
+        lambda i, seq: f"P{i}\t{seq}",
+        lambda i, seq: f"P{i}\t{seq.lower()}\t",
+        lambda i, seq: "",
+        lambda i, seq: f"# comment {i}",
+        lambda i, seq: f"P{i}\t{seq}9\t",  # unknown residue
+        lambda i, seq: f"P{i}",  # one column
+        lambda i, seq: f"\t{seq}",  # empty accession
+        lambda i, seq: f"P{i}\t{seq}\t\textra",  # four columns
+    ]
+    lines = []
+    for i in range(n):
+        seq = "".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), size=int(rng.integers(1, 30))))
+        lines.append(kinds[i % len(kinds)](i, seq))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _blas_threads():
+    blas = fusion_mod._openblas()
+    return blas[0]() if blas else None
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS at two threads during the test: a count other than
+    the pool's one, which the pool must give back."""
+    blas = fusion_mod._openblas()
+    previous = _blas_threads()
+    if blas:
+        blas[1](2)
+    yield
+    if blas:
+        blas[1](previous)
+
+
+class TestScoringPool:
+    @pytest.mark.parametrize("blas", ["bundled", "missing"])
+    def test_matches_the_serial_loop(self, fusion, tmp_path, monkeypatch, blas):
+        if blas == "missing":
+            monkeypatch.setattr(fusion_mod, "_openblas", lambda: None)
+        monkeypatch.setattr(fusion_mod, "BLOCK_LINES", 5)
+        inp = _mixed_queries(tmp_path / "in.tsv", 43)
+        fusion.set_threshold(0.4)
+        expected_diags, diags = [], []
+        expected = predict_batch_serial(inp, fusion, tmp_path / "serial.tsv", expected_diags.append)
+
+        original, workers = FusionModel.predict, set()
+
+        def predict(self, sequence, accession="-"):
+            workers.add(threading.get_ident())
+            return original(self, sequence, accession)
+
+        monkeypatch.setattr(FusionModel, "predict", predict)
+        assert predict_batch(inp, fusion, tmp_path / "pooled.tsv", diagnostics=diags.append) == expected
+        assert (tmp_path / "pooled.tsv").read_bytes() == (tmp_path / "serial.tsv").read_bytes()
+        assert diags == expected_diags and len(diags) == 20
+        size = fusion_mod.scoring_threads()[0]
+        assert 1 <= len(workers) <= size
+        if blas == "missing":
+            assert fusion_mod.scoring_threads() == (1, None)
+        else:
+            assert size == (len(os.sched_getaffinity(0)) if fusion_mod._openblas() else 1)
+
+    def test_a_failed_write_cancels_queued_calls_and_joins_the_workers(
+            self, fusion, tmp_path, monkeypatch, half_writes, two_blas_threads):
+        inp = tmp_path / "in.tsv"
+        inp.write_text("".join(f"P{i}\tMKVLAE\n" for i in range(40)))
+        threads_before, blas_before = threading.active_count(), _blas_threads()
+        original, blas_seen = FusionModel.predict, []
+
+        def predict(self, sequence, accession="-"):
+            blas_seen.append(_blas_threads())
+            if len(blas_seen) > 1:
+                time.sleep(0.02)  # the write of the first query fails while later ones wait
+            return original(self, sequence, accession)
+
+        monkeypatch.setattr(FusionModel, "predict", predict)
+        half_writes()
+        with pytest.raises(OSError, match="no space"):
+            predict_batch(inp, fusion, tmp_path / "out.tsv")
+        assert threading.active_count() == threads_before
+        assert _blas_threads() == blas_before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tsv"]
+        assert 1 <= len(blas_seen) < 40
+        assert set(blas_seen) == {1 if fusion_mod._openblas() else None}
 
 
 class TestFormat:
