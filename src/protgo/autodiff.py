@@ -10,13 +10,23 @@ broadcasting beyond bias addition over the last axis, and shape mismatches
 raise immediately. ``scale``, ``add_constant`` and ``softmax`` take a
 numpy-style ``out``; it may be the input's buffer if no other op reads the
 input, since none of their own backwards reads the input's value.
+
+Inside ``cpu_pool()`` the heavy ops (batched ``matmul``, ``softmax``,
+``gelu``, ``layer_norm`` and ``scale``, forward and backward) split their
+leading axis into one block per worker. Each block runs the numpy calls of
+the whole array in the same order, and no reduction crosses a block, so the
+bits do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -112,6 +122,112 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, set_
+
+
+@functools.cache
+def _mallopt():
+    """glibc's mallopt, or None under another libc."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError, OSError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def pool_threads():
+    """(workers of cpu_pool(), BLAS threads inside it), or (1, None) where
+    BLAS's thread count cannot be set."""
+    return (_cpus(), 1) if _openblas() else (1, None)
+
+
+class _Pool:
+    """The process's one cpu_pool(): BLAS threads and malloc arenas are per process."""
+
+    executor = None  # the ThreadPoolExecutor of the open cpu_pool() block
+    owner = None  # ident of the thread that opened it: only its ops split
+    workers = 1
+
+
+_pool = _Pool()
+_pool_lock = threading.Lock()
+# elements: a smaller op runs as one block, since handing out blocks costs more than it saves
+_FLOOR = 2 ** 15
+
+
+@contextlib.contextmanager
+def cpu_pool():
+    """Yields an executor of one thread per usable CPU, and splits the heavy ops
+    the opening thread calls over it. While it is open, numpy's OpenBLAS runs at
+    one thread (its count is restored after the workers are joined) and the
+    process keeps one malloc arena, so later commands reuse what workers free.
+    An open inside an open block, from any thread, yields the same executor and
+    changes nothing."""
+    with _pool_lock:
+        outer = _pool.executor
+        if outer is None:
+            workers, _ = pool_threads()
+            blas = _openblas()
+            previous = blas[0]() if blas else None
+            mallopt = _mallopt()
+            if mallopt:
+                mallopt(-8, 1)  # M_ARENA_MAX
+            if blas:
+                blas[1](1)  # BLAS threads on top of the workers would oversubscribe the CPUs
+            _pool.executor = ThreadPoolExecutor(workers)
+            _pool.owner, _pool.workers = threading.get_ident(), workers
+    if outer is not None:
+        yield outer
+        return
+    try:
+        yield _pool.executor
+    finally:
+        _pool.executor.shutdown(cancel_futures=True)  # queued calls are dropped, running ones joined
+        with _pool_lock:
+            _pool.executor, _pool.owner, _pool.workers = None, None, 1
+        if blas:
+            blas[1](previous)
+
+
+def _split(out, kernel, reduced=None):
+    """Calls kernel(rows) so that together the calls cover out's leading axis,
+    and returns out. On the thread that opened cpu_pool(), an `out` of at least
+    _FLOOR elements is cut into one block of rows per worker, the first run
+    here; elsewhere kernel(...) runs once. `reduced` is the axis the kernel
+    reduces along, never split. A kernel writes only its own rows of `out`."""
+    n = out.shape[0] if out.ndim else 1
+    blocks = 1
+    if (out.size >= _FLOOR and _pool.owner == threading.get_ident()
+            and (reduced is None or reduced % out.ndim != 0)):
+        blocks = min(_pool.workers, n)
+    if blocks == 1:
+        kernel(...)
+        return out
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    futures = [_pool.executor.submit(kernel, slice(lo, hi)) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        kernel(slice(0, bounds[1]))
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+    return out
+
+
 def _needs_graph(*tensors):
     return any(t.requires_grad or t._parents for t in tensors)
 
@@ -154,10 +270,25 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+def _scaled(x, c, out=None):
+    """x * c, into `out` when given."""
+    out = np.empty_like(x) if out is None else out
+    return _split(out, lambda rows: np.multiply(x[rows], c, out=out[rows]))
+
+
 def scale(a: Tensor, c: float, out=None) -> Tensor:
     """a * c, written into `out` when given; `out` may be a.data."""
     c = float(c)
-    return _make(np.multiply(a.data, c, out=out), (a,), lambda g: (g * c,))
+    return _make(_scaled(a.data, c, out), (a,), lambda g: (_scaled(g, c),))
+
+
+def _matmul(x, y):
+    """np.matmul(x, y), split by rows of x's leading axis when x has batch axes."""
+    if x.ndim < 3 or y.ndim > x.ndim or (y.ndim == x.ndim and y.shape[0] not in (1, x.shape[0])):
+        return np.matmul(x, y)
+    y_rows = y.ndim == x.ndim and y.shape[0] > 1
+    out = np.empty(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1]))
+    return _split(out, lambda rows: np.matmul(x[rows], y[rows] if y_rows else y, out=out[rows]))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -165,11 +296,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree between {a.shape} and {b.shape}")
-    data = np.matmul(a.data, b.data)
+    data = _matmul(a.data, b.data)
 
     def backward(g):
-        ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
+        ga = _unbroadcast(_matmul(g, b.data.swapaxes(-1, -2)), a.shape)
+        gb = _unbroadcast(_matmul(a.data.swapaxes(-1, -2), g), b.shape)
         return ga, gb
 
     return _make(data, (a, b), backward)
@@ -189,36 +320,69 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1, out=None) -> Tensor:
     """Softmax along `axis`, into `out` when given; `out` may be a.data."""
-    out = np.subtract(a.data, a.data.max(axis=axis, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    x = a.data
+    out = np.empty_like(x) if out is None else out
+
+    def forward(rows):
+        o = out[rows]
+        np.subtract(x[rows], x[rows].max(axis=axis, keepdims=True), out=o)
+        np.exp(o, out=o)
+        o /= o.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
+        dx = np.empty_like(g)
 
-    return _make(out, (a,), backward)
+        def rows_of(rows):  # (g - sum(g * out)) * out
+            r, gr = dx[rows], g[rows]
+            np.multiply(gr, out[rows], out=r)
+            dot = r.sum(axis=axis, keepdims=True)
+            np.subtract(gr, dot, out=r)
+            r *= out[rows]
+
+        return (_split(dx, rows_of, axis),)
+
+    return _make(_split(out, forward, axis), (a,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: gamma/beta must have shape ({d},)")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)  # population variance
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
-    out = xhat * gamma.data + beta.data
+    xd = x.data
+    inv = np.empty(xd.shape[:-1] + (1,))
+    xhat = np.empty_like(xd)
+    out = np.empty_like(xd)
+
+    def forward(rows):
+        xr, xh, o = xd[rows], xhat[rows], out[rows]
+        mean = xr.mean(axis=-1, keepdims=True)
+        var = xr.var(axis=-1, keepdims=True)  # population variance
+        np.divide(1.0, np.sqrt(var + eps), out=inv[rows])
+        np.subtract(xr, mean, out=xh)
+        xh *= inv[rows]
+        np.multiply(xh, gamma.data, out=o)
+        o += beta.data
 
     def backward(g):
-        gg = g * gamma.data
-        dx = inv * (gg - gg.mean(axis=-1, keepdims=True) - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        dx = np.empty_like(g)
+
+        def rows_of(rows):  # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
+            r, xh = dx[rows], xhat[rows]
+            gg = g[rows] * gamma.data
+            np.multiply(gg, xh, out=r)
+            m = r.mean(axis=-1, keepdims=True)
+            np.multiply(xh, m, out=r)
+            gg -= gg.mean(axis=-1, keepdims=True)
+            np.subtract(gg, r, out=r)
+            r *= inv[rows]
+
+        _split(dx, rows_of, -1)
         axes = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=axes)
         dbeta = g.sum(axis=axes)
         return dx, dgamma, dbeta
 
-    return _make(out, (x, gamma, beta), backward)
+    return _make(_split(out, forward, -1), (x, gamma, beta), backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -226,16 +390,42 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     # tanh approximation; forward and backward are self-consistent
-    inner = _GELU_C * (x.data + 0.044715 * x.data ** 3)
-    t = np.tanh(inner)
-    out = 0.5 * x.data * (1.0 + t)
+    xd = x.data
+    t = np.empty_like(xd)
+    out = np.empty_like(xd)
+
+    def forward(rows):  # t = tanh(C * (x + 0.044715 * x**3)); out = 0.5 * x * (1 + t)
+        xr, tr, o = xd[rows], t[rows], out[rows]
+        np.power(xr, 3, out=tr)
+        tr *= 0.044715
+        tr += xr
+        tr *= _GELU_C
+        np.tanh(tr, out=tr)
+        np.multiply(xr, 0.5, out=o)
+        o *= 1.0 + tr
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
-        dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t ** 2) * dinner
-        return (g * dx,)
+        dx = np.empty_like(g)
 
-    return _make(out, (x,), backward)
+        def rows_of(rows):  # g * (0.5 * (1 + t) + 0.5 * x * (1 - t**2) * C * (1 + 3 * 0.044715 * x**2))
+            xr, tr, r = xd[rows], t[rows], dx[rows]
+            np.square(xr, out=r)
+            r *= 3 * 0.044715
+            r += 1.0
+            r *= _GELU_C
+            u = np.square(tr)
+            np.subtract(1.0, u, out=u)
+            v = np.multiply(xr, 0.5)
+            v *= u
+            r *= v
+            np.add(tr, 1.0, out=u)
+            u *= 0.5
+            r += u
+            r *= g[rows]
+
+        return (_split(dx, rows_of),)
+
+    return _make(_split(out, forward), (x,), backward)
 
 
 def mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import checkpoint as ckpt_io
 from . import fusion as fusion_mod
 from . import ingest, manifest, metrics, splitter, training
@@ -36,6 +37,11 @@ DomainErrors = (
 def _say(args, *message):
     if not args.quiet:
         print(*message)
+
+
+def _pool_record() -> dict:
+    """Manifest fields of the pool model work runs on (ad.cpu_pool)."""
+    return dict(zip(("scoring_threads", "blas_threads"), ad.pool_threads()))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +263,7 @@ def _cmd_train(args, mode) -> int:
         if loss_records:
             _say(args, f"{aspect.value}: {len(loss_records)} optimizer steps, "
                        f"final loss {loss_records[-1].loss:.6f}")
-    manifest.write_manifest(out, mode, vars_config(args), args.seed, inputs, outputs, started)
+    manifest.write_manifest(out, mode, vars_config(args), args.seed, inputs, outputs, started, _pool_record())
     return 0
 
 
@@ -295,8 +301,8 @@ def cmd_predict(args) -> int:
     inputs = manifest.digests([args.input, args.bp, args.mf, args.cc]
                               + [_vocab_path(args.vocab_dir, a) for a in ingest.ASPECTS])
     n = fusion_mod.predict_batch(args.input, fusion, pred_path, diagnostics=diag)
-    threads = dict(zip(("scoring_threads", "blas_threads"), fusion_mod.scoring_threads()))
-    manifest.write_manifest(out, "predict", vars_config(args), args.seed, inputs, [pred_path], started, threads)
+    manifest.write_manifest(out, "predict", vars_config(args), args.seed, inputs, [pred_path], started,
+                            _pool_record())
     _say(args, f"predicted {n} records -> {pred_path}")
     return 0
 
@@ -391,7 +397,8 @@ def cmd_evaluate(args) -> int:
 
     if not args.quiet:
         _print_table(reports[_threshold_key(thresholds[0])])
-    manifest.write_manifest(out, "evaluate", vars_config(args), args.seed, inputs, outputs, started)
+    manifest.write_manifest(out, "evaluate", vars_config(args), args.seed, inputs, outputs, started,
+                            _pool_record() if args.model else None)
     return 0
 
 

@@ -3,15 +3,10 @@ their thresholded predictions into the final annotation set."""
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
-import numpy as np
-
+from . import autodiff as ad
 from .ingest import ASPECTS, IngestError, _check_sequence, tokenize
 from .manifest import atomic_open
 
@@ -79,41 +74,6 @@ def format_prediction(pred: Prediction) -> str:
     return "".join(lines)
 
 
-def _openblas():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
-    return get, set_
-
-
-def scoring_threads():
-    """(pool size, BLAS threads in it), or (1, None) where BLAS cannot be set."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return (cpus, 1) if _openblas() else (1, None)
-
-
-@contextlib.contextmanager
-def _scoring_pool():
-    """Threads for FusionModel.predict, with BLAS at one thread and one malloc arena."""
-    get_blas, set_blas = _openblas() or (lambda: None, lambda n: None)
-    previous = get_blas()
-    with contextlib.suppress(AttributeError, TypeError):  # mallopt is glibc's
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(-8, 1)  # M_ARENA_MAX: the process keeps one arena, so later commands reuse what workers free
-    pool = ThreadPoolExecutor(scoring_threads()[0])
-    try:
-        set_blas(1)  # one thread per forward: BLAS threads on top of the workers would oversubscribe the CPUs
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)  # queued calls are dropped, running ones joined
-        set_blas(previous)
-
-
 def _submit_line(pool, fusion, line: str, line_no: int):
     """The future Prediction of one input line, parsed here, or the IngestError rejecting it."""
     cols = line.rstrip("\n").split("\t")
@@ -131,7 +91,7 @@ def predict_batch(input_path, fusion: FusionModel, output_path, diagnostics=None
     """Stream a TSV input, BLOCK_LINES lines at a time, through the fusion model on the pool;
     per-record errors are reported (via the diagnostics callback) and skipped, in input order."""
     processed = 0
-    with open(input_path, "r", encoding="utf-8") as infh, atomic_open(output_path) as outfh, _scoring_pool() as pool:
+    with open(input_path, "r", encoding="utf-8") as infh, atomic_open(output_path) as outfh, ad.cpu_pool() as pool:
         lines = enumerate(infh, start=1)
         while block := list(islice(lines, BLOCK_LINES)):
             jobs = [(n, _submit_line(pool, fusion, line, n))

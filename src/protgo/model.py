@@ -251,12 +251,12 @@ class ProteinEncoder:
         """Sigmoid label scores [N, num_labels] for N TokenSequences, rows in
         input order. Sequences are sorted by length (stable) and scored in
         chunks of at most batch_size, so a chunk pads only to its own longest
-        member; no autodiff graph is kept."""
+        member; no autodiff graph is kept. Runs on ad.cpu_pool()."""
         if batch_size < 1:
             raise ModelError(f"batch_size must be >= 1, got {batch_size}")
         order = np.argsort([len(t.ids) for t in tokens], kind="stable")
         out = np.empty((len(tokens), self.config.num_labels))
-        with ad.no_grad():
+        with ad.no_grad(), ad.cpu_pool():
             for start in range(0, len(order), batch_size):
                 rows = order[start : start + batch_size]
                 ids, mask = pad_batch([tokens[i] for i in rows])

@@ -168,6 +168,7 @@ def _micro_batches(order, batch_size):
         yield order[start : start + batch_size]
 
 
+@ad.cpu_pool()
 def train_loop(model: ProteinEncoder, data, config, mode: str,
                freeze_mask: FreezeMask | None = None,
                checkpoint_path=None, loss_log=None, aspect: str = "-",
@@ -178,6 +179,7 @@ def train_loop(model: ProteinEncoder, data, config, mode: str,
     Returns (final Checkpoint, list of LossRecord). One optimizer step per
     grad_accumulation micro-batches; micro-batch losses are scaled by
     1/grad_accumulation so the step is equivalent to one large batch.
+    Runs on ad.cpu_pool().
     """
     if not data:
         raise TrainingError("training data is empty")

@@ -3,6 +3,7 @@ import builtins
 import numpy as np
 import pytest
 
+from protgo import autodiff as ad
 from protgo import manifest
 from protgo.ingest import ASPECTS, ProteinRecord
 
@@ -62,3 +63,30 @@ def half_writes(monkeypatch):
         return HalfWriter(fh) if "w" in mode else fh
 
     return lambda: monkeypatch.setattr(manifest, "open", writer_open, raising=False)
+
+
+def blas_threads():
+    """numpy's OpenBLAS thread count, or None where it cannot be read."""
+    blas = ad._openblas()
+    return blas[0]() if blas else None
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS at two threads during the test: a count other than
+    the pool's one, which the pool must give back."""
+    blas = ad._openblas()
+    previous = blas_threads()
+    if blas:
+        blas[1](2)
+    yield
+    if blas:
+        blas[1](previous)
+
+
+@pytest.fixture(params=[2, 3])
+def split_pool(request, monkeypatch):
+    """ad.cpu_pool() gets 2 or 3 workers whatever the host's CPU count, so the
+    ops split on a one-CPU host too."""
+    monkeypatch.setattr(ad, "_cpus", lambda: request.param)
+    return request.param

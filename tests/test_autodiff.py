@@ -1,11 +1,14 @@
 import math
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from protgo import autodiff as ad
+from conftest import blas_threads
 from oracles import constant, finite_difference_grads, relative_error, tensor_sum
 
 
@@ -307,3 +310,111 @@ class TestGradientFidelity:
         for name, tensor in (("w1", w1), ("w2", w2)):
             for i, val in fd[name].items():
                 assert relative_error(val, tensor.grad.ravel()[i]) < 1e-4
+
+
+# name -> (op over the input tensors, input shapes given the leading size n);
+# the odd extents put block edges off any SIMD lane boundary
+SPLIT_OPS = {
+    "matmul": (ad.matmul, lambda n: [(n, 7, 33), (33, 19)]),
+    "matmul_batched": (ad.matmul, lambda n: [(n, 3, 11, 5), (n, 3, 5, 13)]),
+    "softmax": (ad.softmax, lambda n: [(n, 3, 11, 13)]),
+    "softmax_out": (lambda a: ad.softmax(a, out=a.data), lambda n: [(n, 3, 11, 13)]),
+    "gelu": (ad.gelu, lambda n: [(n, 7, 37)]),
+    "layer_norm": (ad.layer_norm, lambda n: [(n, 7, 37), (37,), (37,)]),
+    "scale": (lambda a: ad.scale(a, 0.37), lambda n: [(n, 7, 37)]),
+    "scale_out": (lambda a: ad.scale(a, 0.37, out=a.data), lambda n: [(n, 7, 37)]),
+    "scale_loss": (lambda a: ad.scale(a, 1 / 32), lambda n: [()]),
+}
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """The argument tuples of every call cpu_pool()'s executor is handed."""
+    calls = []
+
+    class Spy(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            calls.append(args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(ad, "ThreadPoolExecutor", Spy)
+    return calls
+
+
+class TestSplitOps:
+    """Inside cpu_pool() the heavy ops split their leading axis over the workers;
+    each must give the bits of its one-block path, forward and backward."""
+
+    @staticmethod
+    def _run(op, inputs, g):
+        tensors = [ad.parameter(x.copy()) for x in inputs]
+        out = op(*tensors)
+        return [out.data.copy(), *out._backward(g.copy())]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("name", sorted(SPLIT_OPS))
+    def test_blocks_give_the_bits_of_one_block(self, split_pool, submitted, monkeypatch, name, n):
+        op, shapes = SPLIT_OPS[name]
+        rng = np.random.default_rng(n)
+        inputs = [rng.normal(0.0, 3.0, size=shape) for shape in shapes(n)]
+        g = rng.normal(size=np.shape(op(*[ad.Tensor(x.copy()) for x in inputs]).data))
+        monkeypatch.setattr(ad, "_FLOOR", 1)  # split however small the test arrays are
+        with ad.cpu_pool() as pool:
+            split = self._run(op, inputs, g)
+            blocks = len(submitted)
+            # a thread that did not open the pool runs every op as one block
+            whole = pool.submit(self._run, op, inputs, g).result()
+        assert len(split) == len(whole)
+        for got, want in zip(split, whole):
+            assert np.array_equal(got, want)
+        splits = n > 1 and name != "scale_loss"
+        assert (blocks > 0) == splits
+
+    def test_ops_under_the_floor_run_as_one_block(self, split_pool, submitted):
+        x = ad.parameter(np.ones((8, 16, 255)))
+        assert x.data.size < ad._FLOOR
+        with ad.cpu_pool():
+            ad.gelu(x)._backward(np.ones_like(x.data))
+        assert submitted == []
+
+    def test_threads_opening_it_at_once_share_one_pool_and_close_it(
+            self, split_pool, monkeypatch, two_blas_threads):
+        monkeypatch.setattr(ad, "_FLOOR", 1)
+        pool_threads = ad.pool_threads
+
+        def slow_pool_threads():  # widens the window in which two threads could both open a pool
+            time.sleep(1e-4)
+            return pool_threads()
+
+        monkeypatch.setattr(ad, "pool_threads", slow_pool_threads)
+        x = np.random.default_rng(0).normal(size=(5, 7, 37))
+        expected = ad.gelu(ad.Tensor(x)).data
+        before = threading.active_count(), blas_threads()
+        wrong = []
+
+        def work():
+            for i in range(300):
+                try:
+                    with ad.cpu_pool() as pool:
+                        opened_here = ad._pool.owner == threading.get_ident()
+                        if i % 10 == 0 and not np.array_equal(ad.gelu(ad.Tensor(x)).data, expected):
+                            wrong.append("gelu")
+                        if opened_here and (ad._pool.owner, ad._pool.executor) != (threading.get_ident(), pool):
+                            wrong.append("another thread took over the pool this one opened")
+                except Exception as exc:  # e.g. a pool closed twice
+                    wrong.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, daemon=True) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert ad._pool.executor is None
+        assert (threading.active_count(), blas_threads()) == before

@@ -43,6 +43,16 @@ def dataset(tmp_path, corpus):
     return out
 
 
+# (scoring_threads, blas_threads) a model command records: one worker per
+# usable CPU with BLAS at one thread, or one worker where BLAS cannot be set
+POOL_RECORDS = ((len(os.sched_getaffinity(0)), 1), (1, None))
+
+
+def _pool_record(out):
+    recorded = json.loads((out / "manifest.json").read_text())
+    return recorded.get("scoring_threads"), recorded.get("blas_threads")
+
+
 def _finetune(tmp_path, dataset, out_name="run", extra=()):
     model_cfg = _write(tmp_path / "model.json", MODEL_JSON)
     ft_cfg = _write(tmp_path / "ft.json", FT_JSON)
@@ -268,6 +278,31 @@ class TestTrainCommands:
         assert modes == dict.fromkeys(modes, 0o644)
 
 
+class TestHostIndependence:
+    def test_finetune_writes_the_same_bytes_at_any_blas_or_cpu_count(self, tmp_path):
+        """Default model config, one batch-8 step at 250-500 residues: big
+        enough for OpenBLAS to thread and for the ops to split."""
+        write_corpus_tsv(random_corpus(8, seed=3, min_len=250, max_len=500), tmp_path / "c.tsv")
+        dataset = tmp_path / "ds"
+        assert main(["preprocess", str(tmp_path / "c.tsv"), "--top-k", "3", "--max-len", "500",
+                     "--out", str(dataset), "--quiet"]) == 0
+        src = str(Path(protgo.__file__).resolve().parents[1])
+        # the last run sees one CPU from before numpy starts OpenBLAS, as on a one-CPU host
+        one_cpu = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                   "from protgo.cli import main; sys.exit(main(sys.argv[1:]))")
+        cli_module = ["-m", "protgo.cli"]
+        runs = {}
+        for name, blas, launch in (("blas1", "1", cli_module), ("blas2", "2", cli_module),
+                                   ("cpu1", "2", ["-c", one_cpu])):
+            out = tmp_path / name
+            subprocess.run([sys.executable, *launch, "finetune", "--dataset", str(dataset), "--aspect", "BP",
+                            "--out", str(out), "--quiet"],
+                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas},
+                           check=True, timeout=300)
+            runs[name] = {f: (out / f).read_bytes() for f in ("model_BP.ckpt", "loss_BP.csv")}
+        assert runs["blas1"] == runs["blas2"] == runs["cpu1"]
+
+
 class TestPredictCommand:
     def test_threshold_zero_emits_everything(self, tmp_path, dataset):
         run = _finetune(tmp_path, dataset)
@@ -280,9 +315,7 @@ class TestPredictCommand:
                      "--out", str(out), "--quiet"]) == 0
         lines = (out / "predictions.tsv").read_text().splitlines()
         assert len(lines) == 9  # 3 aspects x top-3 vocab
-        recorded = json.loads((out / "manifest.json").read_text())
-        threads = (recorded["scoring_threads"], recorded["blas_threads"])
-        assert threads in ((len(os.sched_getaffinity(0)), 1), (1, None))
+        assert _pool_record(out) in POOL_RECORDS
 
     def test_missing_checkpoint_file(self, tmp_path, dataset):
         query = tmp_path / "q.tsv"
@@ -558,6 +591,21 @@ class TestVerify:
         assert main(["verify", str(manifest), "--quiet"]) == 0
         _flip_last_byte(corpus)
         assert main(["verify", str(manifest), "--quiet"]) == 1
+
+    def test_model_commands_record_their_pool(self, tmp_path, dataset):
+        model_cfg = _write(tmp_path / "model.json", MODEL_JSON)
+        assert main(["pretrain", "--dataset", str(dataset), "--model-config", model_cfg,
+                     "--aspect", "MF", "--out", str(tmp_path / "pre"), "--quiet"]) == 0
+        run = _finetune(tmp_path, dataset)
+        assert main(["evaluate", "--dataset", str(dataset), "--model", str(run / "model_{aspect}.ckpt"),
+                     "--out", str(tmp_path / "ev"), "--quiet"]) == 0
+        for out in (tmp_path / "pre", run, tmp_path / "ev"):
+            assert _pool_record(out) in POOL_RECORDS
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("")
+        assert main(["evaluate", "--dataset", str(dataset), "--predictions", str(pred),
+                     "--out", str(tmp_path / "evp"), "--quiet"]) == 0
+        assert _pool_record(tmp_path / "evp") == (None, None)  # no model ran
 
     def test_every_command_writes_manifest(self, tmp_path, dataset):
         out = tmp_path / "s"

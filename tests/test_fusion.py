@@ -5,11 +5,13 @@ import time
 import numpy as np
 import pytest
 
+from protgo import autodiff as ad
 from protgo import fusion as fusion_mod
 from protgo import ingest
 from protgo.fusion import FusionError, FusionModel, format_prediction, predict_batch
 from protgo.ingest import ASPECTS, GoAspect, LabelVocabulary
 from protgo.model import ModelConfig, ProteinEncoder, pad_batch
+from conftest import blas_threads
 from oracles import predict_batch_serial
 
 CFG = ModelConfig(num_layers=1, d_model=8, num_heads=2, d_ff=16, max_len=16,
@@ -153,30 +155,13 @@ def _mixed_queries(path, n):
     return path
 
 
-def _blas_threads():
-    blas = fusion_mod._openblas()
-    return blas[0]() if blas else None
-
-
-@pytest.fixture
-def two_blas_threads():
-    """numpy's OpenBLAS at two threads during the test: a count other than
-    the pool's one, which the pool must give back."""
-    blas = fusion_mod._openblas()
-    previous = _blas_threads()
-    if blas:
-        blas[1](2)
-    yield
-    if blas:
-        blas[1](previous)
-
-
 class TestScoringPool:
     @pytest.mark.parametrize("blas", ["bundled", "missing"])
-    def test_matches_the_serial_loop(self, fusion, tmp_path, monkeypatch, blas):
+    def test_matches_the_serial_loop(self, fusion, tmp_path, monkeypatch, two_blas_threads, blas):
         if blas == "missing":
-            monkeypatch.setattr(fusion_mod, "_openblas", lambda: None)
+            monkeypatch.setattr(ad, "_openblas", lambda: None)
         monkeypatch.setattr(fusion_mod, "BLOCK_LINES", 5)
+        before = threading.active_count(), blas_threads()
         inp = _mixed_queries(tmp_path / "in.tsv", 43)
         fusion.set_threshold(0.4)
         expected_diags, diags = [], []
@@ -192,22 +177,23 @@ class TestScoringPool:
         assert predict_batch(inp, fusion, tmp_path / "pooled.tsv", diagnostics=diags.append) == expected
         assert (tmp_path / "pooled.tsv").read_bytes() == (tmp_path / "serial.tsv").read_bytes()
         assert diags == expected_diags and len(diags) == 20
-        size = fusion_mod.scoring_threads()[0]
+        assert (threading.active_count(), blas_threads()) == before
+        size = ad.pool_threads()[0]
         assert 1 <= len(workers) <= size
         if blas == "missing":
-            assert fusion_mod.scoring_threads() == (1, None)
+            assert ad.pool_threads() == (1, None)
         else:
-            assert size == (len(os.sched_getaffinity(0)) if fusion_mod._openblas() else 1)
+            assert size == (len(os.sched_getaffinity(0)) if ad._openblas() else 1)
 
     def test_a_failed_write_cancels_queued_calls_and_joins_the_workers(
             self, fusion, tmp_path, monkeypatch, half_writes, two_blas_threads):
         inp = tmp_path / "in.tsv"
         inp.write_text("".join(f"P{i}\tMKVLAE\n" for i in range(40)))
-        threads_before, blas_before = threading.active_count(), _blas_threads()
+        threads_before, blas_before = threading.active_count(), blas_threads()
         original, blas_seen = FusionModel.predict, []
 
         def predict(self, sequence, accession="-"):
-            blas_seen.append(_blas_threads())
+            blas_seen.append(blas_threads())
             if len(blas_seen) > 1:
                 time.sleep(0.02)  # the write of the first query fails while later ones wait
             return original(self, sequence, accession)
@@ -217,10 +203,10 @@ class TestScoringPool:
         with pytest.raises(OSError, match="no space"):
             predict_batch(inp, fusion, tmp_path / "out.tsv")
         assert threading.active_count() == threads_before
-        assert _blas_threads() == blas_before
+        assert blas_threads() == blas_before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tsv"]
         assert 1 <= len(blas_seen) < 40
-        assert set(blas_seen) == {1 if fusion_mod._openblas() else None}
+        assert set(blas_seen) == {1 if ad._openblas() else None}
 
 
 class TestFormat:

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from protgo.checkpoint import (
 from protgo.model import (
     FreezeMask, ModelConfig, ModelError, ProteinEncoder, pad_batch, parameter_groups,
 )
+from conftest import blas_threads
 from oracles import encoder_layer_out_of_place, layer_norm_ref, score_one_at_a_time
 
 DESK = ModelConfig(num_layers=2, d_model=8, num_heads=2, d_ff=16, max_len=16,
@@ -232,6 +234,15 @@ class TestScore:
         tokens = _random_tokens(rng, rng.integers(1, 90, size=200), 64)  # some truncated to 64
         got = m.score(tokens, batch_size)
         np.testing.assert_allclose(got, score_one_at_a_time(m, tokens), rtol=0, atol=1e-9)
+
+    def test_gives_back_blas_threads_and_joins_workers(self, monkeypatch, two_blas_threads, split_pool):
+        monkeypatch.setattr(ad, "_FLOOR", 1)  # the ops split, so the workers start
+        m = _model(seed=4)
+        tokens = _random_tokens(np.random.default_rng(0), [5, 9, 14, 3], 16)
+        before = threading.active_count(), blas_threads()
+        expected = score_one_at_a_time(m, tokens)
+        np.testing.assert_allclose(m.score(tokens, 4), expected, rtol=0, atol=1e-9)
+        assert (threading.active_count(), blas_threads()) == before
 
     def test_empty_and_bad_batch_size(self):
         m = _model()

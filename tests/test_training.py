@@ -1,10 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 
 from protgo import autodiff as ad
-from protgo import ingest
+from protgo import ingest, training
 from protgo.checkpoint import load_checkpoint, save_checkpoint
 from protgo.model import FreezeMask, ModelConfig, ProteinEncoder
+from conftest import blas_threads
 from protgo.training import (
     AdamState, FinetuneConfig, PretrainConfig, TrainingError, adam_step,
     config_from_json, finetune_loss, mask_tokens, mlm_loss, resume_state, train_loop,
@@ -274,3 +277,35 @@ class TestTrainLoop:
         cfg = FinetuneConfig(epochs=1, batch_size=4, seed=0)
         with pytest.raises(TrainingError):
             train_loop(model, [], cfg, "finetune")
+
+
+class TestCpuPool:
+    @pytest.mark.parametrize("end", ["return", "non-finite loss", "failed write"])
+    def test_gives_back_blas_threads_and_joins_workers(
+            self, tmp_path, monkeypatch, half_writes, two_blas_threads, split_pool, end):
+        monkeypatch.setattr(ad, "_FLOOR", 1)  # the ops split, so the workers start
+        model = ProteinEncoder(TINY, seed=1)
+        cfg = FinetuneConfig(epochs=1, batch_size=4, grad_accumulation=1, seed=0)
+        before = threading.active_count(), blas_threads()
+        inside = []
+
+        def finetune_loss(logits, targets):
+            inside.append((threading.active_count(), blas_threads()))
+            return training_loss(logits, targets)
+
+        training_loss = training.finetune_loss
+        monkeypatch.setattr(training, "finetune_loss", finetune_loss)
+        if end == "non-finite loss":
+            model.params["classifier.b"].data[:] = np.inf
+        if end == "failed write":
+            half_writes()
+        raised = {"return": (), "non-finite loss": TrainingError, "failed write": OSError}[end]
+        try:
+            train_loop(model, _finetune_data(8, seed=2), cfg, "finetune", checkpoint_path=tmp_path / "m.ckpt")
+        except raised:
+            pass
+        else:
+            assert end == "return"
+        assert (threading.active_count(), blas_threads()) == before
+        assert inside and all(n > before[0] for n, _ in inside)
+        assert {blas for _, blas in inside} == {1 if ad._openblas() else None}
