@@ -263,7 +263,8 @@ def _cmd_train(args, mode) -> int:
         if loss_records:
             _say(args, f"{aspect.value}: {len(loss_records)} optimizer steps, "
                        f"final loss {loss_records[-1].loss:.6f}")
-    manifest.write_manifest(out, mode, vars_config(args), args.seed, inputs, outputs, started, _pool_record())
+    manifest.write_manifest(out, mode, vars_config(args), args.seed, inputs, outputs, started,
+                            {**_pool_record(), "token_budget": training.TOKEN_BUDGET})
     return 0
 
 

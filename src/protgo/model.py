@@ -229,6 +229,7 @@ class ProteinEncoder:
             ff = ad.dropout(ff, c.dropout, drop_rng)
         return ad.layer_norm(ad.add(h, ff), p[pre + "ln2_gamma"], p[pre + "ln2_beta"])
 
+    @ad.cpu_pool()  # every forward runs with OpenBLAS at one thread
     def encode(self, ids: np.ndarray, pad_mask: np.ndarray, drop_rng=None) -> Tensor:
         x = self.embed(ids)
         for i in range(self.config.num_layers):

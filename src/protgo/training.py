@@ -1,13 +1,14 @@
 """Masked-token pretraining and multi-label fine-tuning.
 
-All stochasticity in an epoch (shuffle order, token masking, dropout) is
-drawn from one generator seeded by (seed, epoch), so a run can be resumed
-from any epoch-end checkpoint and reproduce the uninterrupted loss trace
-exactly.
+An epoch's shuffle order and token masking are drawn from one generator
+seeded by (seed, epoch); each chunk's dropout from a generator seeded by
+(seed, epoch, micro-batch, chunk). So a run can be resumed from any
+epoch-end checkpoint and reproduce the uninterrupted loss trace exactly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,10 @@ from . import autodiff as ad
 from .checkpoint import Checkpoint, checkpoint_from_model, save_checkpoint
 from .ingest import MASK_ID, TokenSequence
 from .model import FreezeMask, ModelConfig, ProteinEncoder, pad_batch
+
+
+# padded tokens a chunk of a micro-batch may hold: (members) x (longest member)
+TOKEN_BUDGET = 1100
 
 
 class TrainingError(ValueError):
@@ -159,13 +164,44 @@ def adam_step(params: dict, state: AdamState, lr: float, betas=(0.9, 0.999),
         tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, epoch])))
+def _rng(*key) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
 def _micro_batches(order, batch_size):
     for start in range(0, len(order), batch_size):
         yield order[start : start + batch_size]
+
+
+def chunks(lengths, budget: int) -> list:
+    """Positions of a micro-batch's members, cut into chunks that each pad to at
+    most `budget` tokens: members sorted by length (stable), a chunk closed when
+    one more member would pass the budget. A batch that fits stays one chunk in
+    its own order; a member longer than the budget is a chunk of its own."""
+    if len(lengths) * max(lengths) <= budget:
+        return [list(range(len(lengths)))]
+    out = [[]]
+    for i in np.argsort(lengths, kind="stable").tolist():
+        if out[-1] and (len(out[-1]) + 1) * lengths[i] > budget:
+            out.append([])
+        out[-1].append(i)
+    return out
+
+
+def _chunk_loss(part: ProteinEncoder, rows, weight: float, drop_rng, mode: str, grad_accumulation: int) -> float:
+    """weight x the loss of one chunk's rows on `part`, whose gradients get the
+    backward of that loss times weight / grad_accumulation."""
+    ids, mask = pad_batch([seq for seq, _ in rows])
+    if mode == "pretrain":
+        loss = mlm_loss(part.forward_mlm(ids, mask, drop_rng), [targets for _, targets in rows])
+    else:
+        labels = np.stack([bits for _, bits in rows]).astype(np.float64)
+        loss = finetune_loss(part.forward_classify(ids, mask, drop_rng), labels)
+    loss_value = loss.item()
+    if not np.isfinite(loss_value):
+        raise TrainingError("non-finite loss; training aborted, last checkpoint retained")
+    ad.scale(loss, weight / grad_accumulation).backward()
+    return weight * loss_value
 
 
 @ad.cpu_pool()
@@ -179,7 +215,8 @@ def train_loop(model: ProteinEncoder, data, config, mode: str,
     Returns (final Checkpoint, list of LossRecord). One optimizer step per
     grad_accumulation micro-batches; micro-batch losses are scaled by
     1/grad_accumulation so the step is equivalent to one large batch.
-    Runs on ad.cpu_pool().
+    Runs on ad.cpu_pool(): a micro-batch cut into several chunks runs them
+    on its workers.
     """
     if not data:
         raise TrainingError("training data is empty")
@@ -195,7 +232,7 @@ def train_loop(model: ProteinEncoder, data, config, mode: str,
     step = adam_state.step
     last_ckpt = None
     for epoch in range(start_epoch, config.epochs):
-        rng = _epoch_rng(config.seed, epoch)
+        rng = _rng(config.seed, epoch)
         order = rng.permutation(len(data))
         model.zero_grads()
         pending = 0
@@ -215,31 +252,33 @@ def train_loop(model: ProteinEncoder, data, config, mode: str,
             pending = 0
             acc_loss = 0.0
 
-        for batch_idx in _micro_batches(order, config.batch_size):
-            if mode == "pretrain":
-                masked, targets = [], []
-                for i in batch_idx:
-                    mseq, tgt = mask_tokens(data[i], config.mask_probability, rng)
-                    masked.append(mseq)
-                    targets.append(tgt)
-                ids, mask = pad_batch(masked)
-                drop_rng = rng if model.config.dropout > 0 else None
-                logits = model.forward_mlm(ids, mask, drop_rng)
-                loss = mlm_loss(logits, targets)
+        for batch_no, batch_idx in enumerate(_micro_batches(order, config.batch_size)):
+            if mode == "pretrain":  # masks are drawn here, in batch order, before any chunk runs
+                rows = [mask_tokens(data[i], config.mask_probability, rng) for i in batch_idx]
             else:
-                seqs = [data[i][0] for i in batch_idx]
-                labels = np.stack([data[i][1] for i in batch_idx]).astype(np.float64)
-                ids, mask = pad_batch(seqs)
-                drop_rng = rng if model.config.dropout > 0 else None
-                logits = model.forward_classify(ids, mask, drop_rng)
-                loss = finetune_loss(logits, labels)
-
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise TrainingError("non-finite loss; training aborted, last checkpoint retained")
-            scaled = ad.scale(loss, 1.0 / config.grad_accumulation)
-            scaled.backward()
-            acc_loss += loss_value / config.grad_accumulation
+                rows = [data[i] for i in batch_idx]
+            lengths = [len(seq.ids) for seq, _ in rows]
+            parts = [[rows[i] for i in members] for members in chunks(lengths, TOKEN_BUDGET)]
+            # a chunk's loss counts by its share of the batch: masked positions, or rows
+            size = (lambda part: sum(len(t) for _, t in part)) if mode == "pretrain" else len
+            jobs = [(part, size(part) / size(rows), _rng(config.seed, epoch, batch_no, c))
+                    for c, part in enumerate(parts)]
+            run = functools.partial(_chunk_loss, mode=mode, grad_accumulation=config.grad_accumulation)
+            if len(jobs) == 1:  # on this thread, its ops split over the pool
+                losses = [run(model, *jobs[0])]
+            else:  # whole chunks on the workers, each on a copy that shares the model's arrays
+                copies = [ProteinEncoder(model.config, params={k: t.data for k, t in model.params.items()})
+                          for _ in jobs]
+                for part in copies:
+                    part.apply_freeze(freeze_mask, mode=mode)
+                with ad.cpu_pool() as pool:
+                    losses = list(pool.map(run, copies, *zip(*jobs)))
+                for part in copies:  # summed here in chunk order, so the worker count changes no bit
+                    for k, t in part.params.items():
+                        if t.grad is not None:
+                            g = model.params[k].grad
+                            model.params[k].grad = t.grad if g is None else g + t.grad
+            acc_loss += sum(losses) / config.grad_accumulation
             pending += 1
             if pending == config.grad_accumulation:
                 flush()

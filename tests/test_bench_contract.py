@@ -5,12 +5,15 @@ and that a small pipeline with the benchmark's flags calls every binding site
 its workloads expect. A rename, a removal or a site the program no longer
 calls thus fails here rather than in a traced benchmark run."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from conftest import random_corpus, write_corpus_tsv
+import numpy as np
+
+from conftest import RESIDUES, random_corpus, write_corpus_tsv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,12 +66,26 @@ print(json.dumps({
 """
 
 
+def _traced(steps):
+    """Exit codes of the CLI commands `steps`, run under the tracer, and each
+    workload's expected sites that exist but were not hit."""
+    steps = [argv + ["--quiet"] for argv in steps]
+    out = subprocess.run([sys.executable, "-c", PIPELINE, str(ROOT / "src"), str(ROOT / "perfbench"),
+                          json.dumps(steps)], capture_output=True, text=True, check=True, timeout=120)
+    found = json.loads(out.stdout)
+    return found["codes"], found["not_hit"]
+
+
+def _small_model(path):
+    # dropout > 0 as in the default model
+    path.write_text(json.dumps({"num_layers": 2, "d_model": 8, "num_heads": 2, "d_ff": 16, "dropout": 0.1}))
+
+
 def test_a_pipeline_with_the_benchmark_flags_hits_every_expected_site(tmp_path):
-    # mixed lengths pad every batch; dropout > 0 as in the default model
+    # mixed lengths pad every batch
     write_corpus_tsv(random_corpus(40, seed=7, go_pool=9), tmp_path / "corpus.tsv")
     (tmp_path / "queries.tsv").write_text("Q1\tMKVLAEWWKQ\nQBAD\tMKJV\nQ2\tMKVLAEWWKQRRPLAGEMKVLAEW\n")
-    (tmp_path / "model.json").write_text(json.dumps({"num_layers": 2, "d_model": 8, "num_heads": 2,
-                                                     "d_ff": 16, "dropout": 0.1}))
+    _small_model(tmp_path / "model.json")
     (tmp_path / "train.json").write_text(json.dumps({"epochs": 1, "batch_size": 8}))
     ds, ckpt = str(tmp_path / "ds"), str(tmp_path / "run" / "model_{aspect}.ckpt")
     train = ["--dataset", ds, "--config", str(tmp_path / "train.json")]
@@ -93,9 +110,31 @@ def test_a_pipeline_with_the_benchmark_flags_hits_every_expected_site(tmp_path):
         ["preprocess", str(tmp_path / "families.tsv"), "--top-k", "3", "--out", str(tmp_path / "fam")],
         ["split", "--dataset", str(tmp_path / "fam"), "--kind", "clustered", "--out", str(tmp_path / "fam_split")],
     ]
-    steps = [argv + ["--quiet"] for argv in steps]
-    out = subprocess.run([sys.executable, "-c", PIPELINE, str(ROOT / "src"), str(ROOT / "perfbench"),
-                          json.dumps(steps)], capture_output=True, text=True, check=True, timeout=120)
-    found = json.loads(out.stdout)
-    assert found["codes"] == [0] * len(steps)
-    assert found["not_hit"] == {name: [] for name in found["not_hit"]}
+    codes, not_hit = _traced(steps)
+    assert codes == [0] * len(steps)
+    assert not_hit == {name: [] for name in not_hit}
+
+
+def test_training_at_the_benchmark_shape_alone_hits_every_train_site(tmp_path):
+    """The train workload's lengths cut its batch into chunks, which run on the
+    pool's workers; one of them must still be padded (`autodiff.add_constant`)."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    records = random_corpus(len(workloads.TRAIN_LENGTHS), seed=5, go_pool=9)
+    rng = np.random.default_rng(5)
+    records = [type(r)(r.accession, "".join(rng.choice(list(RESIDUES), size=n)), r.annotations)
+               for r, n in zip(records, workloads.TRAIN_LENGTHS)]
+    write_corpus_tsv(records, tmp_path / "corpus.tsv")
+    _small_model(tmp_path / "model.json")
+    (tmp_path / "train.json").write_text(json.dumps(workloads.TRAIN_CONFIG))
+    ds = str(tmp_path / "ds")
+    train = ["--dataset", ds, "--aspect", "BP", "--config", str(tmp_path / "train.json")]
+    codes, not_hit = _traced([
+        ["preprocess", str(tmp_path / "corpus.tsv"), "--top-k", "2", "--out", ds],
+        ["pretrain", *train, "--model-config", str(tmp_path / "model.json"), "--out", str(tmp_path / "pre")],
+        ["finetune", *train, "--init", str(tmp_path / "pre" / "model_{aspect}.ckpt"), "--freeze", "default",
+         "--out", str(tmp_path / "run")],
+    ])
+    assert codes == [0, 0, 0]
+    assert not_hit["train"] == []

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import protgo
-from protgo import cli
+from protgo import cli, training
 from protgo.checkpoint import load_checkpoint
 from protgo.cli import main
 from protgo.ingest import ASPECTS, parse_tsv, read_vocabulary
@@ -601,6 +601,9 @@ class TestVerify:
                      "--out", str(tmp_path / "ev"), "--quiet"]) == 0
         for out in (tmp_path / "pre", run, tmp_path / "ev"):
             assert _pool_record(out) in POOL_RECORDS
+        budgets = [json.loads((out / "manifest.json").read_text()).get("token_budget")
+                   for out in (tmp_path / "pre", run, tmp_path / "ev")]
+        assert budgets == [training.TOKEN_BUDGET, training.TOKEN_BUDGET, None]  # only training chunks
         pred = tmp_path / "pred.tsv"
         pred.write_text("")
         assert main(["evaluate", "--dataset", str(dataset), "--predictions", str(pred),

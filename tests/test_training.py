@@ -21,14 +21,14 @@ def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _finetune_data(n, seed=0, num_labels=3, length=(5, 12)):
+def _finetune_data(n, seed=0, num_labels=3, length=(5, 12), max_len=16):
     rng = _rng(seed)
     data = []
     for _ in range(n):
         L = int(rng.integers(*length))
         seq = "".join(rng.choice(list("ACDEFGHIKL"), size=L))
         bits = (rng.random(num_labels) < 0.5).astype(np.int8)
-        data.append((ingest.tokenize(seq, 16), bits))
+        data.append((ingest.tokenize(seq, max_len), bits))
     return data
 
 
@@ -309,3 +309,136 @@ class TestCpuPool:
         assert (threading.active_count(), blas_threads()) == before
         assert inside and all(n > before[0] for n, _ in inside)
         assert {blas for _, blas in inside} == {1 if ad._openblas() else None}
+
+
+def _padded(lengths, part):
+    return len(part) * max(lengths[i] for i in part)
+
+
+class TestChunks:
+    def test_the_benchmark_batch(self):
+        shuffled = [430, 252, 502, 323, 287, 466, 394, 359]  # tokens of the train workload's 250-500 residues
+        got = training.chunks(shuffled, training.TOKEN_BUDGET)
+        assert [[shuffled[i] for i in part] for part in got] == [[252, 287, 323], [359, 394], [430, 466], [502]]
+
+    def test_a_batch_that_fits_is_one_chunk_in_its_own_order(self):
+        assert training.chunks([22, 9, 15, 22], 88) == [[0, 1, 2, 3]]
+        assert training.chunks([34] * 32, training.TOKEN_BUDGET) == [list(range(32))]  # criterion 4's batch
+
+    def test_equal_lengths_keep_their_order(self):
+        assert training.chunks([7, 5, 7, 5, 7], 15) == [[1, 3], [0, 2], [4]]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_member_once_and_no_chunk_over_the_budget(self, seed):
+        rng = _rng(seed)
+        lengths = rng.integers(3, 120, size=int(rng.integers(1, 40))).tolist()
+        budget = int(rng.integers(20, 400))
+        got = training.chunks(lengths, budget)
+        assert sorted(i for part in got for i in part) == list(range(len(lengths)))
+        assert all(_padded(lengths, part) <= budget for part in got if len(part) > 1)
+        flat = [i for part in got for i in part]
+        if len(got) > 1:  # cut chunks hold the members sorted by length, ties in input order
+            assert flat == sorted(range(len(lengths)), key=lambda i: lengths[i])
+
+
+CHUNKED = ModelConfig(num_layers=2, d_model=8, num_heads=2, d_ff=16, max_len=200, num_labels=3, dropout=0.1)
+
+
+def _step_grads(monkeypatch, model, data, cfg, mode, freeze_mask, budget):
+    """Loss and gradients of each optimizer step of train_loop, with chunks of at most `budget` tokens."""
+    monkeypatch.setattr(training, "TOKEN_BUDGET", budget)
+    seen = []
+
+    def adam_step(params, state, lr, **kwargs):
+        seen.append({k: t.grad.copy() for k, t in params.items() if t.grad is not None})
+        return optimizer_step(params, state, lr, **kwargs)
+
+    optimizer_step = training.adam_step
+    monkeypatch.setattr(training, "adam_step", adam_step)
+    _, recs = train_loop(model, data, cfg, mode, freeze_mask=freeze_mask)
+    monkeypatch.setattr(training, "adam_step", optimizer_step)
+    return [r.loss for r in recs], seen
+
+
+class TestChunkedSteps:
+    @pytest.mark.parametrize("mode", ["finetune", "pretrain"])
+    @pytest.mark.parametrize("freeze", ["none", "default_finetune"])
+    def test_chunks_match_one_chunk(self, monkeypatch, mode, freeze):
+        pairs = _finetune_data(12, seed=6, length=(3, 14))
+        assert len(training.chunks([len(seq.ids) for seq, _ in pairs], 40)) > 2
+        data = pairs if mode == "finetune" else [seq for seq, _ in pairs]
+        cfg = (FinetuneConfig(epochs=1, batch_size=12, grad_accumulation=2, seed=3) if mode == "finetune"
+               else PretrainConfig(epochs=1, batch_size=12, grad_accumulation=2, seed=3))
+        runs = []
+        for budget in (10 ** 9, 40):  # one chunk; then chunks of 2-5 members
+            model = ProteinEncoder(TINY, seed=4)
+            runs.append(_step_grads(monkeypatch, model, data, cfg, mode, getattr(FreezeMask, freeze)(TINY), budget))
+        (one_loss, one_grads), (cut_loss, cut_grads) = runs
+        np.testing.assert_allclose(cut_loss, one_loss, rtol=0, atol=1e-10)
+        assert len(one_grads) == len(cut_grads) == 1
+        assert one_grads[0].keys() == cut_grads[0].keys() and one_grads[0]
+        for k, g in one_grads[0].items():
+            np.testing.assert_allclose(cut_grads[0][k], g, rtol=0, atol=1e-10, err_msg=k)
+
+    @pytest.mark.parametrize("split_pool", [1, 2, 3], indirect=True)
+    def test_the_bits_do_not_depend_on_the_worker_count(self, monkeypatch, split_pool):
+        data = _finetune_data(10, seed=8, length=(40, 120), max_len=200)
+        cfg = FinetuneConfig(epochs=1, batch_size=10, grad_accumulation=1, seed=5)
+
+        def step():
+            model = ProteinEncoder(CHUNKED, seed=2)
+            losses, grads = _step_grads(monkeypatch, model, data, cfg, "finetune", None, 300)
+            return losses, grads, {k: t.data for k, t in model.params.items()}
+
+        got = step()
+        monkeypatch.setattr(ad, "_cpus", lambda: 1)
+        want = step()
+        assert got[0] == want[0]
+        for a, b in ((got[1][0], want[1][0]), (got[2], want[2])):
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    def test_a_chunk_that_raises_on_a_worker_propagates(self, monkeypatch, two_blas_threads, split_pool):
+        monkeypatch.setattr(training, "TOKEN_BUDGET", 40)
+        data = _finetune_data(12, seed=6, length=(3, 14))
+        cfg = FinetuneConfig(epochs=1, batch_size=12, grad_accumulation=1, seed=3)
+        before = threading.active_count(), blas_threads()
+        workers = set()
+
+        def finetune_loss(logits, targets):
+            workers.add(threading.get_ident())
+            if threading.current_thread() is not threading.main_thread():
+                raise ad.ShapeError("a chunk failed")
+            return training_loss(logits, targets)
+
+        training_loss = training.finetune_loss
+        monkeypatch.setattr(training, "finetune_loss", finetune_loss)
+        with pytest.raises(ad.ShapeError, match="a chunk failed"):
+            train_loop(ProteinEncoder(TINY, seed=1), data, cfg, "finetune")
+        assert workers and threading.main_thread().ident not in workers
+        assert (threading.active_count(), blas_threads()) == before
+
+    def test_resume_with_dropout_and_chunks_gives_the_same_bytes(self, tmp_path):
+        """2 epochs, dropout 0.1, two micro-batches a step, each batch above the
+        budget: stopped after epoch 1 and resumed, the checkpoint and the loss
+        log equal those of the run that did not stop."""
+        data = _finetune_data(32, seed=9, length=(150, 199), max_len=200)
+        cfg = FinetuneConfig(epochs=2, batch_size=8, grad_accumulation=2, seed=11)
+        assert 8 * (150 + 2) > training.TOKEN_BUDGET
+
+        def run(path, epochs, start_epoch=0, model=None, adam_state=None):
+            with open(path.with_suffix(".csv"), "a", encoding="utf-8") as log:
+                train_loop(model or ProteinEncoder(CHUNKED, seed=3), data,
+                           FinetuneConfig(**{**vars(cfg), "epochs": epochs}), "finetune",
+                           checkpoint_path=path, loss_log=log, start_epoch=start_epoch, adam_state=adam_state)
+
+        run(tmp_path / "full.ckpt", 2)
+        run(tmp_path / "cut.ckpt", 1)
+        loaded = load_checkpoint(tmp_path / "cut.ckpt")
+        model = loaded.to_model()
+        start_epoch, adam_state = resume_state(loaded, model)
+        assert start_epoch == 1
+        run(tmp_path / "cut.ckpt", 2, start_epoch, model, adam_state)
+        for suffix in (".ckpt", ".csv"):
+            assert (tmp_path / f"cut{suffix}").read_bytes() == (tmp_path / f"full{suffix}").read_bytes()
+        assert len((tmp_path / "full.csv").read_text().splitlines()) == 4  # 2 steps an epoch
