@@ -135,14 +135,16 @@ def _openblas():
 
 
 @functools.cache
-def _mallopt():
-    """glibc's mallopt, or None under another libc."""
+def _glibc_malloc():
+    """(mallopt, malloc_trim) of glibc, or None under another libc."""
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt, trim = libc.mallopt, libc.malloc_trim
     except (AttributeError, TypeError, OSError):
         return None
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    return mallopt
+    mallopt.argtypes, trim.argtypes = [ctypes.c_int, ctypes.c_int], [ctypes.c_size_t]
+    mallopt.restype = trim.restype = ctypes.c_int
+    return mallopt, trim
 
 
 def _cpus():
@@ -174,18 +176,19 @@ def cpu_pool():
     """Yields an executor of one thread per usable CPU, and splits the heavy ops
     the opening thread calls over it. While it is open, numpy's OpenBLAS runs at
     one thread (its count is restored after the workers are joined) and the
-    process keeps one malloc arena, so later commands reuse what workers free.
-    An open inside an open block, from any thread, yields the same executor and
-    changes nothing."""
+    process keeps one malloc arena, whose free pages go back to the system when
+    the block closes, so no block's peak grows with what earlier blocks' threads
+    left fragmented. An open inside an open block, from any thread, yields the
+    same executor and changes nothing."""
     with _pool_lock:
         outer = _pool.executor
         if outer is None:
             workers, _ = pool_threads()
             blas = _openblas()
             previous = blas[0]() if blas else None
-            mallopt = _mallopt()
-            if mallopt:
-                mallopt(-8, 1)  # M_ARENA_MAX
+            malloc = _glibc_malloc()
+            if malloc:
+                malloc[0](-8, 1)  # mallopt(M_ARENA_MAX, 1)
             if blas:
                 blas[1](1)  # BLAS threads on top of the workers would oversubscribe the CPUs
             _pool.executor = ThreadPoolExecutor(workers)
@@ -201,6 +204,8 @@ def cpu_pool():
             _pool.executor, _pool.owner, _pool.workers = None, None, 1
         if blas:
             blas[1](previous)
+        if malloc:
+            malloc[1](0)  # malloc_trim
 
 
 def _split(out, kernel, reduced=None):

@@ -8,6 +8,7 @@ the freeze mask, and the training RNG bookkeeping.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ from .model import FreezeMask, ModelConfig, ProteinEncoder, check_params
 
 MAGIC = b"PGO1"
 FORMAT_VERSION = 1
+DTYPE = "<f8"  # the one dtype the format writes and reads
 HEADER_KEYS = {"format_version", "config", "freeze_mask", "optimizer", "rng_state", "arrays", "payload_bytes"}
 
 
@@ -39,24 +41,20 @@ class Checkpoint:
         return model
 
 
-def _dtype_tag(arr: np.ndarray) -> str:
-    return arr.dtype.newbyteorder("<").str
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    arrays = {f"param.{k}": np.ascontiguousarray(v) for k, v in ckpt.params.items()}
+    arrays = {f"param.{k}": np.ascontiguousarray(v, dtype=DTYPE) for k, v in ckpt.params.items()}
     opt_meta = None
     if ckpt.optimizer_state is not None:
         opt_meta = {"step": int(ckpt.optimizer_state["step"])}
         for moment in ("m", "v"):
             for k, arr in ckpt.optimizer_state[moment].items():
-                arrays[f"adam.{moment}.{k}"] = np.ascontiguousarray(arr)
+                arrays[f"adam.{moment}.{k}"] = np.ascontiguousarray(arr, dtype=DTYPE)
 
     entries = []
     offset = 0
     for name in sorted(arrays):
         arr = arrays[name]
-        entries.append({"name": name, "dtype": _dtype_tag(arr), "shape": list(arr.shape), "offset": offset})
+        entries.append({"name": name, "dtype": DTYPE, "shape": list(arr.shape), "offset": offset})
         offset += arr.nbytes
 
     header = {
@@ -73,8 +71,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes)
         for name in sorted(arrays):
-            arr = arrays[name]
-            fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+            fh.write(arrays[name].tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -100,14 +97,21 @@ def load_checkpoint(path) -> Checkpoint:
             f"truncated checkpoint: expected {header['payload_bytes']} payload bytes, found {len(payload)}"
         )
 
+    if not isinstance(header["arrays"], list):
+        raise CheckpointError(f"checkpoint header's arrays is not a list: {path}")
     arrays = {}
     for entry in header["arrays"]:
         try:
-            name, dtype, shape, start = entry["name"], np.dtype(entry["dtype"]), entry["shape"], int(entry["offset"])
-            count = int(np.prod(shape)) if shape else 1
+            name, dtype, shape, start = entry["name"], entry["dtype"], entry["shape"], int(entry["offset"])
         except (KeyError, TypeError, ValueError):
             raise CheckpointError(f"corrupt checkpoint array entry {entry!r}: {path}") from None
-        if start < 0 or start + count * dtype.itemsize > len(payload):
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise CheckpointError(f"corrupt checkpoint array entry {entry!r}: {path}")
+        if dtype != DTYPE:
+            raise CheckpointError(f"array '{name}' has dtype {dtype!r}, not {DTYPE!r}: {path}")
+        count = math.prod(shape)
+        if start < 0 or start + count * np.dtype(DTYPE).itemsize > len(payload):
             raise CheckpointError(f"array '{name}' runs past the end of the checkpoint payload: {path}")
         arrays[name] = np.frombuffer(payload, dtype=dtype, count=count, offset=start).reshape(shape).copy()
 

@@ -276,12 +276,10 @@ def cmd_finetune(args) -> int:
     return _cmd_train(args, "finetune")
 
 
-def _load_fusion(args, vocab_dir, threshold) -> fusion_mod.FusionModel:
-    paths = {"BP": args.bp, "MF": args.mf, "CC": args.cc}
-    models = {}
-    vocabs = {}
-    for aspect in ingest.ASPECTS:
-        path = paths[aspect.value]
+def _load_fusion(paths, vocab_dir, threshold) -> fusion_mod.FusionModel:
+    """The FusionModel of one checkpoint path per aspect, in ingest.ASPECTS order."""
+    models, vocabs = {}, {}
+    for aspect, path in zip(ingest.ASPECTS, paths):
         if not path:
             raise fusion_mod.FusionError(f"missing checkpoint for aspect {aspect.value}")
         models[aspect] = ckpt_io.load_checkpoint(path).to_model()
@@ -293,7 +291,7 @@ def cmd_predict(args) -> int:
     started = time.time()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fusion = _load_fusion(args, args.vocab_dir, args.threshold)
+    fusion = _load_fusion([args.bp, args.mf, args.cc], args.vocab_dir, args.threshold)
     pred_path = out / "predictions.tsv"
 
     def diag(message):
@@ -306,13 +304,6 @@ def cmd_predict(args) -> int:
                             _pool_record())
     _say(args, f"predicted {n} records -> {pred_path}")
     return 0
-
-
-def _scores_from_checkpoints(args, aspect, rows, vocabs, meta):
-    model = ckpt_io.load_checkpoint(_aspect_path(args.model, aspect)).to_model()
-    fusion_mod.check_labels(model, vocabs[aspect])
-    tokens = [ingest.tokenize(r.sequence, meta["max_len"]) for r in rows]
-    return model.score(tokens, args.batch_size)
 
 
 def _read_predictions(path) -> dict:
@@ -330,10 +321,12 @@ def _read_predictions(path) -> dict:
                 continue
             accession, go_id, aspect, score = cols
             try:
-                score = float(score)
+                value = float(score)
             except ValueError:
-                raise metrics.MetricsError(f"score '{score}' at line {line_no} of {path} is not a number") from None
-            by_aspect.setdefault(aspect, []).append((accession, go_id, score))
+                value = float("nan")
+            if not 0.0 <= value <= 1.0:  # nan and inf fail too
+                raise metrics.MetricsError(f"score '{score}' at line {line_no} of {path} is not a number in [0, 1]")
+            by_aspect.setdefault(aspect, []).append((accession, go_id, value))
     return by_aspect
 
 
@@ -349,9 +342,10 @@ def _scores_from_predictions(lines, rows, vocab):
 
 def cmd_evaluate(args) -> int:
     started = time.time()
+    thresholds = [fusion_mod.check_threshold(t) for t in args.threshold]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records, vocabs, meta = _load_dataset(args.dataset)
+    records, vocabs, _ = _load_dataset(args.dataset)
     test_accessions = _split_side(args, "test")
     if test_accessions is None:
         test_accessions = {r.accession for r in records}
@@ -363,18 +357,24 @@ def cmd_evaluate(args) -> int:
     inputs = manifest.digests(_dataset_files(args.dataset) + _split_files(args) + sources)
 
     predictions = _read_predictions(args.predictions) if args.predictions else None
+    tested = {a: _labelled(records, vocabs[a], test_accessions) for a in ingest.ASPECTS}
+    if empty := [a.value for a, (rows, _) in tested.items() if not rows]:
+        raise metrics.MetricsError(f"empty test set for aspect {empty[0]}")
+    if predictions is None:
+        # every test record is scored as `predict` scores it: one query per pool worker
+        fusion = _load_fusion(sources, args.dataset, thresholds[0])
+        test_records = [r for r in records if r.accession in test_accessions]
+        with ad.cpu_pool() as pool:
+            predicted = pool.map(lambda r: fusion.predict(r.sequence, r.accession), test_records)
+            scored = {p.accession: p.scores for p in predicted}
     outputs = []
-    thresholds = args.threshold
     reports = {}
-    for aspect in ingest.ASPECTS:
-        rows, labels = _labelled(records, vocabs[aspect], test_accessions)
-        if not rows:
-            raise metrics.MetricsError(f"empty test set for aspect {aspect.value}")
+    for aspect, (rows, labels) in tested.items():
         targets = np.stack(labels)
         if predictions is not None:
             scores = _scores_from_predictions(predictions.get(aspect.value, []), rows, vocabs[aspect])
         else:
-            scores = _scores_from_checkpoints(args, aspect, rows, vocabs, meta)
+            scores = np.stack([scored[r.accession][aspect] for r in rows])
         try:
             curve = metrics.micro_roc(scores, targets)
         except metrics.MetricsError:
@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", default=None, help="prediction TSV to evaluate instead of models")
     p.add_argument("--threshold", type=float, nargs="+", default=[0.5])
     p.add_argument("--batch-size", type=int, default=16, dest="batch_size",
-                   help="most sequences scored at once; they are sorted by length first")
+                   help="ignored: each test record is scored on its own, as predict scores it")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("verify", parents=[common], help="re-hash a manifest's inputs and outputs")

@@ -33,6 +33,12 @@ def check_labels(model, vocab) -> None:
         )
 
 
+def check_threshold(t: float) -> float:
+    if not 0.0 <= t <= 1.0:  # nan fails too
+        raise FusionError(f"threshold out of [0,1]: {t}")
+    return float(t)
+
+
 class FusionModel:
     def __init__(self, models: dict, vocabs: dict, threshold: float = 0.5):
         for aspect in ASPECTS:
@@ -47,21 +53,16 @@ class FusionModel:
         self._max_len = min(m.config.max_len for m in self.models.values())
 
     def set_threshold(self, t: float) -> None:
-        if not 0.0 <= t <= 1.0:
-            raise FusionError(f"threshold out of [0,1]: {t}")
-        self.threshold = float(t)
+        self.threshold = check_threshold(t)
 
     def predict(self, sequence: str, accession: str = "-") -> Prediction:
         tokens = tokenize(sequence, self._max_len)
         scores = {}
         terms = []
         for aspect in ASPECTS:
-            probs = self.models[aspect].score([tokens], 1)[0]
-            scores[aspect] = probs
-            vocab = self.vocabs[aspect]
-            for i, go_id in enumerate(vocab.terms):
-                if probs[i] >= self.threshold:
-                    terms.append((go_id, aspect, float(probs[i])))
+            probs = scores[aspect] = self.models[aspect].score([tokens])[0]
+            terms += [(go_id, aspect, float(p)) for go_id, p in zip(self.vocabs[aspect].terms, probs)
+                      if p >= self.threshold]
         return Prediction(accession=accession, scores=scores, predicted_terms=terms)
 
 

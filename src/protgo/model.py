@@ -248,21 +248,12 @@ class ProteinEncoder:
         h = self.encode(ids, pad_mask, drop_rng)
         return ad.add(ad.matmul(h, self.params["mlm_head.w"]), self.params["mlm_head.b"])
 
-    def score(self, tokens, batch_size: int) -> np.ndarray:
-        """Sigmoid label scores [N, num_labels] for N TokenSequences, rows in
-        input order. Sequences are sorted by length (stable) and scored in
-        chunks of at most batch_size, so a chunk pads only to its own longest
-        member; no autodiff graph is kept. Runs on ad.cpu_pool()."""
-        if batch_size < 1:
-            raise ModelError(f"batch_size must be >= 1, got {batch_size}")
-        order = np.argsort([len(t.ids) for t in tokens], kind="stable")
-        out = np.empty((len(tokens), self.config.num_labels))
-        with ad.no_grad(), ad.cpu_pool():
-            for start in range(0, len(order), batch_size):
-                rows = order[start : start + batch_size]
-                ids, mask = pad_batch([tokens[i] for i in rows])
-                out[rows] = ad.sigmoid(self.forward_classify(ids, mask).data)
-        return out
+    def score(self, tokens) -> np.ndarray:
+        """Sigmoid label scores [N, num_labels] for N >= 1 TokenSequences,
+        scored as one padded batch; no autodiff graph is kept."""
+        ids, mask = pad_batch(tokens)
+        with ad.no_grad():
+            return ad.sigmoid(self.forward_classify(ids, mask).data)
 
 
 def pad_batch(sequences) -> tuple:

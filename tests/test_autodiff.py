@@ -418,3 +418,25 @@ class TestSplitOps:
         assert wrong == []
         assert ad._pool.executor is None
         assert (threading.active_count(), blas_threads()) == before
+
+
+class TestPoolMemory:
+    def test_closing_the_outer_block_trims_the_heap_once(self, monkeypatch):
+        """Free heap pages go back to the system when the outermost block
+        closes: without it, the train benchmark's peak RSS crept up from one
+        command to the next by amounts that depended on how the pool's threads
+        had interleaved their allocations."""
+        calls = []
+        monkeypatch.setattr(ad, "_glibc_malloc", lambda: (lambda *a: calls.append(("mallopt", *a)),
+                                                          lambda *a: calls.append(("trim", *a))))
+        with ad.cpu_pool():
+            with ad.cpu_pool():
+                pass
+            assert calls == [("mallopt", -8, 1)]
+        assert calls == [("mallopt", -8, 1), ("trim", 0)]
+
+    def test_runs_where_libc_has_no_malloc_controls(self, monkeypatch):
+        monkeypatch.setattr(ad, "_glibc_malloc", lambda: None)
+        with ad.cpu_pool() as pool:
+            assert pool.submit(lambda: 7).result() == 7
+        assert ad._pool.executor is None

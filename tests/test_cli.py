@@ -6,15 +6,20 @@ import stat
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import protgo
+from protgo import autodiff as ad
 from protgo import cli, training
 from protgo.checkpoint import load_checkpoint
 from protgo.cli import main
+from protgo.fusion import FusionModel
 from protgo.ingest import ASPECTS, parse_tsv, read_vocabulary
+from protgo.model import ProteinEncoder
 from conftest import random_corpus, write_corpus_tsv
 from oracles import write_labels
 
@@ -419,6 +424,85 @@ class TestEvaluateCommand:
             assert (out / f"sla_{aspect}.csv").read_text().startswith("bucket_lo,bucket_hi,count,accuracy")
 
 
+@pytest.fixture
+def trained(tmp_path):
+    """A dataset whose records include some longer than the models' max_len
+    (50) and the three checkpoints fine-tuned on it."""
+    records = random_corpus(30, seed=7, go_pool=9) + random_corpus(6, seed=8, min_len=60, max_len=90, go_pool=9)
+    records = [type(r)(f"P{i:04d}", r.sequence, r.annotations) for i, r in enumerate(records)]
+    write_corpus_tsv(records, tmp_path / "corpus.tsv")
+    dataset = tmp_path / "ds"
+    assert main(["preprocess", str(tmp_path / "corpus.tsv"), "--top-k", "3", "--max-len", "50",
+                 "--out", str(dataset), "--quiet"]) == 0
+    return dataset, _finetune(tmp_path, dataset) / "model_{aspect}.ckpt"
+
+
+class TestEvaluateWithModels:
+    @staticmethod
+    def _evaluate(dataset, ckpt, out, *extra):
+        assert main(["evaluate", "--dataset", str(dataset), "--model", str(ckpt), "--out", str(out),
+                     "--quiet", *extra]) == 0
+
+    def test_scores_are_those_of_fusion_predict(self, tmp_path, trained, monkeypatch):
+        dataset, ckpt = trained
+        seen = []
+        roc = cli.metrics.micro_roc
+        monkeypatch.setattr(cli.metrics, "micro_roc",
+                            lambda scores, targets: seen.append(scores) or roc(scores, targets))
+        self._evaluate(dataset, ckpt, tmp_path / "ev")
+
+        records = parse_tsv(dataset / "records.tsv")
+        assert any(len(r.sequence) > 50 for r in records)
+        fusion = cli._load_fusion([str(ckpt).format(aspect=a.value) for a in ASPECTS], dataset, 0.5)
+        with ad.cpu_pool():
+            expected = {r.accession: fusion.predict(r.sequence, r.accession).scores for r in records}
+        assert len(seen) == len(ASPECTS)
+        for aspect, scores in zip(ASPECTS, seen):
+            rows, _ = cli._labelled(records, fusion.vocabs[aspect])
+            assert len(rows) < len(records)  # some record has no term of this aspect
+            assert np.array_equal(scores, np.stack([expected[r.accession][aspect] for r in rows]))
+
+    def test_every_forward_runs_inside_fusion_predict(self, tmp_path, trained, monkeypatch):
+        """The benchmark's tracer keeps one span stack for all threads. A
+        scorer that ran forwards on the pool's workers outside a
+        FusionModel.predict span left annotate's traced evaluate stage with
+        0.34-0.35 of its wall time covered by layer rows, under the 0.9 a
+        correct traced run needs; so evaluate scores only through predict."""
+        dataset, ckpt = trained
+        inside = threading.local()
+        predicts, forwards = [], []
+        predict, forward = FusionModel.predict, ProteinEncoder.forward_classify
+
+        def flagged_predict(self, *args):
+            inside.flag = True
+            try:
+                predicts.append(args)
+                return predict(self, *args)
+            finally:
+                inside.flag = False
+
+        def checked_forward(self, *args, **kwargs):
+            forwards.append(getattr(inside, "flag", False))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(FusionModel, "predict", flagged_predict)
+        monkeypatch.setattr(ProteinEncoder, "forward_classify", checked_forward)
+        self._evaluate(dataset, ckpt, tmp_path / "ev")
+        records = parse_tsv(dataset / "records.tsv")
+        assert sorted(a for _, a in predicts) == sorted(r.accession for r in records)  # once per record
+        assert len(forwards) == len(ASPECTS) * len(records) and all(forwards)
+
+    def test_batch_size_changes_no_output(self, tmp_path, trained):
+        dataset, ckpt = trained
+        for size in ("1", "16"):
+            self._evaluate(dataset, ckpt, tmp_path / size, "--batch-size", size, "--threshold", "0.3", "0.6")
+        names = sorted(p.name for p in (tmp_path / "1").iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in (tmp_path / "16").iterdir() if p.name != "manifest.json")
+        assert len(names) == 8  # 3 ROC and 3 SLA CSVs, 2 reports
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "16" / name).read_bytes(), name
+
+
 def _rewrite_header(path, edit):
     """Passes a checkpoint's JSON header through `edit`; the payload stays."""
     blob = path.read_bytes()
@@ -458,10 +542,16 @@ def _vocabulary_line_of_two_columns(tmp_path, dataset):
     return _evaluate(tmp_path, dataset)
 
 
-def _score_not_a_number(tmp_path, dataset):
-    accession = parse_tsv(dataset / "records.tsv")[0].accession
-    go_id = read_vocabulary(dataset / "vocab_BP.tsv", ASPECTS[0]).terms[0]
-    return _evaluate(tmp_path, dataset, f"{accession}\t{go_id}\tBP\thigh\n")
+def _score_of(value):
+    def make(tmp_path, dataset):
+        accession = parse_tsv(dataset / "records.tsv")[0].accession
+        go_id = read_vocabulary(dataset / "vocab_BP.tsv", ASPECTS[0]).terms[0]
+        return _evaluate(tmp_path, dataset, f"{accession}\t{go_id}\tBP\t{value}\n")
+    return make
+
+
+def _evaluate_threshold(value):
+    return lambda tmp_path, dataset: _evaluate(tmp_path, dataset) + ["--threshold", value]
 
 
 def _predictions_line_of_three_columns(tmp_path, dataset):
@@ -498,7 +588,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("make_argv", [
         _manifest_not_json,
         _vocabulary_line_of_two_columns,
-        _score_not_a_number,
+        _score_of("high"),
         _split_without_seed,
         _model_config_not_json,
         _predict_with_bp_header(lambda header: header.pop("rng_state")),
@@ -507,8 +597,15 @@ class TestMalformedInput:
         _predictions_line_of_three_columns,
         _preprocess_with(top_k="0", max_len="50"),
         _preprocess_with(top_k="3", max_len="0"),
+        _score_of("nan"),
+        _score_of("inf"),
+        _score_of("1.5"),
+        _evaluate_threshold("1.5"),
+        _evaluate_threshold("nan"),
+        _predict_with_bp_header(lambda header: header.update(arrays=5)),
     ], ids=["manifest", "vocabulary", "score", "split", "model-config", "header-key", "array-offset",
-            "optimizer-step", "predictions-columns", "top-k-zero", "max-len-zero"])
+            "optimizer-step", "predictions-columns", "top-k-zero", "max-len-zero", "score-nan", "score-inf",
+            "score-above-one", "threshold-above-one", "threshold-nan", "arrays-not-a-list"])
     def test_exit_1_with_one_line(self, tmp_path, dataset, capsys, make_argv):
         argv = make_argv(tmp_path, dataset)
         capsys.readouterr()

@@ -1,3 +1,5 @@
+import json
+import struct
 import threading
 import tracemalloc
 
@@ -26,6 +28,11 @@ def _model(seed=0, **overrides):
 
 def _batch(*seqs, max_len=16):
     return pad_batch([ingest.tokenize(s, max_len) for s in seqs])
+
+
+def _score_in_batches(model, tokens, batch_size):
+    """model.score over consecutive padded batches of batch_size sequences."""
+    return np.concatenate([model.score(tokens[i:i + batch_size]) for i in range(0, len(tokens), batch_size)])
 
 
 class TestConfig:
@@ -144,9 +151,9 @@ class TestAttentionInOneBuffer:
         m = _model(seed=4, max_len=64, d_model=16, num_heads=2)
         rng = np.random.default_rng(9)
         tokens = _random_tokens(rng, rng.integers(1, 90, 30), 64)  # some truncated to 64
-        got = m.score(tokens, batch_size)
+        got = _score_in_batches(m, tokens, batch_size)
         monkeypatch.setattr(ProteinEncoder, "encoder_layer", encoder_layer_out_of_place)
-        assert np.array_equal(got, m.score(tokens, batch_size))
+        assert np.array_equal(got, _score_in_batches(m, tokens, batch_size))
 
     # B=2, L=302, 2 heads: one B·H·L² float64 array is 2.9 MB, so the
     # activations of d16 layers are small beside it
@@ -232,8 +239,14 @@ class TestScore:
         m = _model(seed=4, max_len=64)
         rng = np.random.default_rng(batch_size)
         tokens = _random_tokens(rng, rng.integers(1, 90, size=200), 64)  # some truncated to 64
-        got = m.score(tokens, batch_size)
+        got = _score_in_batches(m, tokens, batch_size)
         np.testing.assert_allclose(got, score_one_at_a_time(m, tokens), rtol=0, atol=1e-9)
+
+    def test_one_sequence_gives_the_oracle_bits(self):
+        m = _model(seed=4, max_len=64)
+        tokens = _random_tokens(np.random.default_rng(3), [1, 17, 64, 80], 64)
+        got = np.concatenate([m.score([t]) for t in tokens])
+        assert np.array_equal(got, score_one_at_a_time(m, tokens))
 
     def test_gives_back_blas_threads_and_joins_workers(self, monkeypatch, two_blas_threads, split_pool):
         monkeypatch.setattr(ad, "_FLOOR", 1)  # the ops split, so the workers start
@@ -241,14 +254,8 @@ class TestScore:
         tokens = _random_tokens(np.random.default_rng(0), [5, 9, 14, 3], 16)
         before = threading.active_count(), blas_threads()
         expected = score_one_at_a_time(m, tokens)
-        np.testing.assert_allclose(m.score(tokens, 4), expected, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(m.score(tokens), expected, rtol=0, atol=1e-9)
         assert (threading.active_count(), blas_threads()) == before
-
-    def test_empty_and_bad_batch_size(self):
-        m = _model()
-        assert m.score([], 4).shape == (0, DESK.num_labels)
-        with pytest.raises(ModelError):
-            m.score([ingest.tokenize("MKV", 16)], 0)
 
 
 class TestForwardMlm:
@@ -302,6 +309,10 @@ class TestFreeze:
         assert m.params["classifier.w"].requires_grad
 
 
+def _set_first_array(**fields):
+    return lambda header: header["arrays"][0].update(fields)
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         m = _model(seed=5)
@@ -345,6 +356,31 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _with_header(tmp_path, edit):
+        """A saved checkpoint whose JSON header went through `edit`; the payload stays."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(checkpoint_from_model(_model(), FreezeMask.none(DESK)), path)
+        blob = path.read_bytes()
+        n = struct.unpack("<I", blob[4:8])[0]
+        header = json.loads(blob[8:8 + n])
+        edit(header)
+        raw = json.dumps(header).encode()
+        path.write_bytes(blob[:4] + struct.pack("<I", len(raw)) + raw + blob[8 + n:])
+        return path
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda header: header.update(arrays=5), "arrays is not a list"),
+        (_set_first_array(shape=[2, -3]), "corrupt checkpoint array entry"),
+        (_set_first_array(dtype="|O"), "has dtype '|O'"),
+        (_set_first_array(dtype="<U2"), "has dtype '<U2'"),
+    ], ids=["arrays-not-a-list", "negative-dimension", "object-dtype", "string-dtype"])
+    def test_malformed_array_table_names_the_file(self, tmp_path, edit, match):
+        path = self._with_header(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=match) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
 
     def test_config_mismatch_names_array(self, tmp_path):
         m = _model()
