@@ -8,13 +8,12 @@ platform.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import ASPECTS
+from .ingest import ASPECTS, RESIDUE_ALPHABET
 from .manifest import atomic_open, write_json
 
 
@@ -66,19 +65,35 @@ def random_split(accessions, seed: int) -> DatasetSplit:
     )
 
 
-def kmer_multiset(sequence: str, k: int) -> Counter:
-    return Counter(sequence[i : i + k] for i in range(len(sequence) - k + 1))
+_DIGIT = np.array([RESIDUE_ALPHABET.find(chr(byte)) for byte in range(256)], dtype=np.int64)
+
+
+def _check_kmer(k: int) -> None:
+    if not 2 <= k <= 13:  # 25 ** 13 < 2 ** 63: every k-mer code fits in int64
+        raise SplitError(f"kmer must be in [2, 13], got {k}")
+
+
+def _kmer_codes(sequence: str, k: int):
+    """Sorted distinct k-mer codes of `sequence` (each k-mer read as a base-25
+    number over RESIDUE_ALPHABET, int64) and the count of each."""
+    digits = _DIGIT[np.frombuffer(sequence.encode("latin-1", "replace"), np.uint8)]
+    if (digits < 0).any():
+        raise SplitError(f"sequence holds {sequence[int(np.argmax(digits < 0))]!r}, not a residue letter")
+    codes = digits[:max(len(digits) - k + 1, 0)]
+    for j in range(1, k):
+        codes = codes * len(RESIDUE_ALPHABET) + digits[j:j + len(codes)]
+    return np.unique(codes, return_counts=True)
 
 
 def kmer_similarity(a: str, b: str, k: int) -> float:
     """Shared k-mer multiset size over the k-mer count of the shorter sequence."""
+    _check_kmer(k)
     if len(a) > len(b):
         a, b = b, a
-    n_short = len(a) - k + 1
-    if n_short <= 0:
-        return 0.0
-    shared = sum((kmer_multiset(a, k) & kmer_multiset(b, k)).values())
-    return shared / n_short
+    (codes_a, counts_a), (codes_b, counts_b) = _kmer_codes(a, k), _kmer_codes(b, k)
+    at = np.minimum(np.searchsorted(codes_b, codes_a), len(codes_b) - 1)
+    hit = codes_b[at] == codes_a
+    return int(np.minimum(counts_a[hit], counts_b[at[hit]]).sum()) / max(len(a) - k + 1, 1)
 
 
 def cluster_sequences(records, identity_threshold: float = 0.5, kmer: int = 5) -> ClusterAssignment:
@@ -88,29 +103,28 @@ def cluster_sequences(records, identity_threshold: float = 0.5, kmer: int = 5) -
     deterministic tie-break); each joins the first representative with
     similarity >= identity_threshold, else founds a new cluster.
 
-    An inverted index from each k-mer to the clusters whose representative
-    holds it sums, per representative, the record's counts of the k-mers they
-    share. That sum bounds the shared multiset from above, and every
-    representative is at least as long as the record, so the denominator is
-    the record's own k-mer count: kmer_similarity only runs on representatives
-    whose bound reaches the threshold, and the assignment is unchanged.
+    An inverted index from each k-mer's integer code to the clusters whose
+    representative holds it sums, per representative, the record's counts of
+    the k-mers they share. That sum bounds the shared multiset from above, and
+    no representative is shorter than the record, so the denominator is the
+    record's own k-mer count: kmer_similarity only runs where that bound
+    reaches the threshold, and the assignment is unchanged.
     """
-    if kmer < 2:
-        raise SplitError(f"kmer must be >= 2, got {kmer}")
+    _check_kmer(kmer)
     if not 0.0 < identity_threshold <= 1.0:
         raise SplitError(f"identity_threshold must be in (0, 1], got {identity_threshold}")
     ordered = sorted(records, key=lambda r: (-len(r.sequence), r.accession))
     cluster_of = {}
     representative = {}
     rep_seqs = []  # representative sequence per cluster id, in founding order
-    clusters_with = {}  # k-mer -> ids of the clusters whose representative holds it
+    clusters_with = {}  # k-mer code -> ids of the clusters whose representative holds it
     for record in ordered:
-        counts = kmer_multiset(record.sequence, kmer)
+        codes, counts = (a.tolist() for a in _kmer_codes(record.sequence, kmer))
         n = len(record.sequence) - kmer + 1
-        bound = Counter()
-        for km, c in counts.items():
+        bound = {}
+        for km, c in zip(codes, counts):
             for cid in clusters_with.get(km, ()):
-                bound[cid] += c
+                bound[cid] = bound.get(cid, 0) + c
         candidates = sorted(cid for cid, b in bound.items() if b / n >= identity_threshold)
         cid = next((cid for cid in candidates
                     if kmer_similarity(record.sequence, rep_seqs[cid], kmer) >= identity_threshold), None)
@@ -118,7 +132,7 @@ def cluster_sequences(records, identity_threshold: float = 0.5, kmer: int = 5) -
             cid = len(representative)
             representative[cid] = record.accession
             rep_seqs.append(record.sequence)
-            for km in counts:
+            for km in codes:
                 clusters_with.setdefault(km, []).append(cid)
         cluster_of[record.accession] = cid
     return ClusterAssignment(cluster_of=cluster_of, representative=representative)

@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the main code."""
 
+from collections import Counter
+
 import numpy as np
 
 from protgo import autodiff as ad
 from protgo.fusion import FusionError, format_prediction
 from protgo.ingest import TOKEN_VOCAB, IngestError, _check_sequence, encode_labels
 from protgo.model import pad_batch
-from protgo.splitter import ClusterAssignment, kmer_similarity
+from protgo.splitter import ClusterAssignment
 
 ID_TO_TOKEN = {v: k for k, v in TOKEN_VOCAB.items()}
 
@@ -119,6 +121,22 @@ def recount_terms(records, aspect):
             if a is aspect:
                 counts[go] = counts.get(go, 0) + 1
     return counts
+
+
+def kmer_multiset(sequence, k):
+    return Counter(sequence[i : i + k] for i in range(len(sequence) - k + 1))
+
+
+def kmer_similarity(a, b, k):
+    """Shared k-mer multiset size over the k-mer count of the shorter
+    sequence, from Counters of the k-mer strings."""
+    if len(a) > len(b):
+        a, b = b, a
+    n_short = len(a) - k + 1
+    if n_short <= 0:
+        return 0.0
+    shared = sum((kmer_multiset(a, k) & kmer_multiset(b, k)).values())
+    return shared / n_short
 
 
 def cluster_sequences_pairwise(records, identity_threshold, kmer):

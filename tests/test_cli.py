@@ -574,6 +574,13 @@ def _split_without_seed(tmp_path, dataset):
     return _evaluate(tmp_path, dataset, split=split)
 
 
+def _clustered_split_with_kmer(kmer):
+    def make(tmp_path, dataset):
+        return ["split", "--dataset", str(dataset), "--kind", "clustered", "--kmer", kmer,
+                "--out", str(tmp_path / "split")]
+    return make
+
+
 def _model_config_not_json(tmp_path, dataset):
     (tmp_path / "model.json").write_text("num_layers: 1\n")
     return ["finetune", "--dataset", str(dataset), "--model-config", str(tmp_path / "model.json"),
@@ -603,9 +610,12 @@ class TestMalformedInput:
         _evaluate_threshold("1.5"),
         _evaluate_threshold("nan"),
         _predict_with_bp_header(lambda header: header.update(arrays=5)),
+        _clustered_split_with_kmer("1"),
+        _clustered_split_with_kmer("14"),
     ], ids=["manifest", "vocabulary", "score", "split", "model-config", "header-key", "array-offset",
             "optimizer-step", "predictions-columns", "top-k-zero", "max-len-zero", "score-nan", "score-inf",
-            "score-above-one", "threshold-above-one", "threshold-nan", "arrays-not-a-list"])
+            "score-above-one", "threshold-above-one", "threshold-nan", "arrays-not-a-list", "kmer-one",
+            "kmer-above-13"])
     def test_exit_1_with_one_line(self, tmp_path, dataset, capsys, make_argv):
         argv = make_argv(tmp_path, dataset)
         capsys.readouterr()

@@ -1,14 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from protgo import splitter
-from protgo.ingest import ProteinRecord
+from protgo.ingest import RESIDUE_ALPHABET, ProteinRecord
 from protgo.splitter import (
     ClusterAssignment, SplitError, audit_leakage, cluster_sequences,
     clustered_split, kmer_similarity, random_split, read_split, write_split,
 )
 from conftest import RESIDUES, random_corpus
+import oracles
 from oracles import cluster_sequences_pairwise
 
 
@@ -60,6 +63,42 @@ class TestKmerSimilarity:
     def test_too_short(self):
         assert kmer_similarity("MK", "MKVLAE", 3) == 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["AC", "ACD", RESIDUE_ALPHABET]).flatmap(
+               lambda alphabet: st.tuples(*[st.text(alphabet=alphabet, max_size=40)] * 2)),
+           st.integers(2, 13))
+    def test_equals_the_counter_oracle(self, pair, k):
+        # integer codes and sorted-array intersection against Counters of
+        # k-mer strings: the same integers, so the same float
+        assert kmer_similarity(*pair, k) == oracles.kmer_similarity(*pair, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=RESIDUE_ALPHABET, max_size=40), st.integers(2, 13))
+    def test_codes_are_the_kmers_read_in_base_25(self, sequence, k):
+        # Python's integers do not overflow: a collision or a wrapped code shows
+        want = Counter(sum(RESIDUE_ALPHABET.index(c) * 25 ** (k - 1 - i) for i, c in enumerate(sequence[j:j + k]))
+                       for j in range(len(sequence) - k + 1))
+        codes, counts = splitter._kmer_codes(sequence, k)
+        assert codes.dtype == np.int64
+        assert dict(zip(codes.tolist(), counts.tolist())) == want
+        assert codes.tolist() == sorted(want)
+
+    @pytest.mark.parametrize("k", [1, 14])
+    def test_kmer_outside_what_the_codes_hold(self, k):
+        with pytest.raises(SplitError, match="kmer"):
+            kmer_similarity("MKVLAEWWKQRRPLAG", "MKVLAEWWKQRRPLAG", k)
+
+    @pytest.mark.parametrize("residue", ["k", "-", "\xe9", "\u0416", "\U0001f9ec"])
+    @pytest.mark.parametrize("short", [False, True])
+    def test_a_character_outside_the_alphabet(self, residue, short):
+        # lowercase, punctuation, Latin-1, Cyrillic and an astral character,
+        # also in a sequence shorter than k
+        seq = "MK" + residue if short else "MKVLAE" + residue + "WWKQ"
+        with pytest.raises(SplitError, match="not a residue letter"):
+            kmer_similarity(seq, "MKVLAEWWKQ", 5)
+        with pytest.raises(SplitError, match="not a residue letter"):
+            kmer_similarity("MKVLAEWWKQ", seq, 5)
+
 
 class TestClusterSequences:
     def test_identical_sequences_join(self):
@@ -89,6 +128,16 @@ class TestClusterSequences:
             cluster_sequences([], 0.5, 1)
         with pytest.raises(SplitError):
             cluster_sequences([], 0.0, 3)
+        # 25 ** 14 does not fit in int64
+        with pytest.raises(SplitError, match="kmer"):
+            cluster_sequences([], 0.5, 14)
+        assert cluster_sequences([_rec("A", "M" * 20)], 0.5, 13).num_clusters == 1
+
+    @pytest.mark.parametrize("residue", ["k", "\xe9", "\u0416"])
+    def test_a_character_outside_the_alphabet(self, residue):
+        recs = [_rec("A", "MKVLAEWWKQ"), _rec("B", "MKVLAE" + residue + "WWKQ")]
+        with pytest.raises(SplitError, match=repr(residue)):
+            cluster_sequences(recs, 0.5, 5)
 
     @pytest.mark.xfail(strict=False,
                        reason="first-match greedy placement does not guarantee monotone "
