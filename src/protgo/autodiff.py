@@ -1,9 +1,11 @@
 """Dense-array reverse-mode autodiff on top of numpy.
 
-A Tensor wraps a numpy array and remembers how it was produced; calling
-``backward()`` on a scalar walks the recorded graph in reverse topological
-order and accumulates gradients into every tensor created with
-``requires_grad=True``. Gradients reached through multiple paths are summed.
+A Tensor wraps a numpy array and the record of the op that made it: the
+op's backward closure, which holds only the arrays and shapes it reads, and
+its parents' records, never the op's output. ``backward()`` on a scalar walks
+the records in reverse topological order, accumulates gradients into every
+tensor created with ``requires_grad=True`` (summing over paths) and frees
+each record once its closure has run, so each graph takes one ``backward()``.
 
 Kept deliberately small: only the operations the encoder model needs, no
 broadcasting beyond bias addition over the last axis, and shape mismatches
@@ -35,15 +37,38 @@ class ShapeError(ValueError):
     pass
 
 
-class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+class _Node:
+    """An op's graph record: its backward closure and its parents' records (a
+    leaf Tensor stands for itself), never the op's output. backward() empties
+    it once its closure has run."""
 
-    def __init__(self, data, requires_grad=False, _parents=()):
+    __slots__ = ("_parents", "_backward")
+
+    def __init__(self, parents, backward):
+        self._parents = parents
+        self._backward = backward
+
+
+class Tensor:
+    __slots__ = ("data", "requires_grad", "grad", "_node")
+
+    def __init__(self, data, requires_grad=False, _node=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = _parents
-        self._backward = None
+        self._node = _node
+
+    @property
+    def _parents(self):
+        return self._node._parents if self._node else ()
+
+    @property
+    def _backward(self):
+        return self._node._backward if self._node else None
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node._backward = fn
 
     @property
     def shape(self):
@@ -60,31 +85,34 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
-        order = _toposort(self)
-        grads = {id(self): np.ones_like(self.data)}
-        for node in order:
+        root = self._node or self
+        order = _toposort(root)
+        grads = {id(root): np.ones_like(self.data)}
+        while order:
+            node = order.pop()
             g = grads.pop(id(node), None)
+            if isinstance(node, Tensor):
+                if g is not None and node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
+                continue
+            parents, closure = node._parents, node._backward
+            node._parents, node._backward = (), None  # frees what only this closure read
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
-            if node._backward is None:
-                continue
-            for parent, pg in zip(node._parents, node._backward(g)):
+            if closure is None:
+                raise ShapeError("backward() reached a graph an earlier backward() freed; each graph takes one")
+            for parent, pg in zip(parents, closure(g)):
                 if pg is None:
                     continue
                 key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+                grads[key] = grads[key] + pg if key in grads else pg
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def _toposort(root):
-    """Reverse topological order: root first, leaves last."""
+    """Topological order of the records under root: leaves first, root last."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -99,7 +127,6 @@ def _toposort(root):
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
-    order.reverse()
     return order
 
 
@@ -233,15 +260,9 @@ def _split(out, kernel, reduced=None):
     return out
 
 
-def _needs_graph(*tensors):
-    return any(t.requires_grad or t._parents for t in tensors)
-
-
 def _make(data, parents, backward):
-    if _grad_mode.enabled and _needs_graph(*parents):
-        out = Tensor(data, _parents=tuple(parents))
-        out._backward = backward
-        return out
+    if _grad_mode.enabled and any(t.requires_grad or t._node for t in parents):
+        return Tensor(data, _node=_Node(tuple(t._node or t for t in parents), backward))
     return Tensor(data)
 
 
@@ -267,12 +288,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         )
         if not bias_ok:
             raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data + b.data
-    return _make(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _make(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def _scaled(x, c, out=None):
@@ -301,14 +318,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree between {a.shape} and {b.shape}")
-    data = _matmul(a.data, b.data)
+    x, y = a.data, b.data
 
     def backward(g):
-        ga = _unbroadcast(_matmul(g, b.data.swapaxes(-1, -2)), a.shape)
-        gb = _unbroadcast(_matmul(a.data.swapaxes(-1, -2), g), b.shape)
+        ga = _unbroadcast(_matmul(g, y.swapaxes(-1, -2)), x.shape)
+        gb = _unbroadcast(_matmul(x.swapaxes(-1, -2), g), y.shape)
         return ga, gb
 
-    return _make(data, (a, b), backward)
+    return _make(_matmul(x, y), (a, b), backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -468,14 +485,15 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 def add_constant(a: Tensor, c: np.ndarray, out=None) -> Tensor:
     """Add a non-differentiable array (broadcastable), e.g. an attention mask,
     written into `out` when given; `out` may be a.data."""
-    return _make(np.add(a.data, c, out=out), (a,), lambda g: (_unbroadcast(g, a.shape),))
+    shape = a.shape
+    return _make(np.add(a.data, c, out=out), (a,), lambda g: (_unbroadcast(g, shape),))
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return _make(x.data * keep, (x,), lambda g: (g * keep,))
+    kept = rng.random(x.shape) >= p  # one byte per element until backward scales it
+    return _make(x.data * (kept / (1.0 - p)), (x,), lambda g: (g * (kept / (1.0 - p)),))
 
 
 def nll_from_logits(logits: Tensor, positions, target_ids) -> Tensor:
@@ -495,13 +513,14 @@ def nll_from_logits(logits: Tensor, positions, target_ids) -> Tensor:
     logp = shifted - logz
     n = positions.shape[0]
     loss = -logp[np.arange(n), target_ids].mean()
+    flat_shape, shape = flat.shape, logits.shape
 
     def backward(g):
         probs = np.exp(logp)
         probs[np.arange(n), target_ids] -= 1.0
-        dflat = np.zeros_like(flat)
+        dflat = np.zeros(flat_shape)
         np.add.at(dflat, positions, probs * (float(g) / n))
-        return (dflat.reshape(logits.shape),)
+        return (dflat.reshape(shape),)
 
     return _make(np.array(loss), (logits,), backward)
 

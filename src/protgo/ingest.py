@@ -37,6 +37,7 @@ for _i, _c in enumerate(RESIDUE_ALPHABET):
 VOCAB_SIZE = len(TOKEN_VOCAB)  # 30
 
 _GO_RE = re.compile(r"^GO:\d{7}$")
+_DROP_RESIDUES = str.maketrans("", "", RESIDUE_ALPHABET)
 
 
 class IngestError(ValueError):
@@ -92,9 +93,9 @@ def _check_sequence(seq: str, line_no: int) -> str:
     seq = seq.upper()
     if not seq:
         raise IngestError(f"empty sequence at line {line_no}")
-    for ch in seq:
-        if ch not in RESIDUE_ALPHABET:
-            raise IngestError(f"unknown residue '{ch}' at line {line_no}")
+    unknown = seq.translate(_DROP_RESIDUES)
+    if unknown:
+        raise IngestError(f"unknown residue '{unknown[0]}' at line {line_no}")
     return seq
 
 

@@ -1,14 +1,18 @@
 """Run manifests: every CLI command records its config, seed, the digests of
-its inputs (hashed before it writes) and of its outputs, atomically at run end."""
+its inputs (hashed before it writes) and of its outputs, the process's peak
+RSS and the numpy version, atomically at run end."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import resource
 import time
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -63,6 +67,8 @@ def write_manifest(out_dir, command: str, config: dict, seed, input_digests: dic
         "output_digests": digests(outputs),
         "started": started,
         "finished": time.time(),
+        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),  # KiB on Linux
+        "numpy": np.__version__,
     }
     if extra:
         manifest.update(extra)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -150,6 +151,81 @@ class TestBackward:
         first = run()
         second = run()
         np.testing.assert_array_equal(first, second)
+
+
+class TestGraphRelease:
+    """The graph keeps only what some backward reads, and backward frees that
+    as it goes."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(17)
+        return _param(rng.normal(size=(4, 3))), _param(rng.normal(size=(3, 5))), _param(rng.normal(size=5))
+
+    def test_an_output_no_backward_reads_is_freed_with_the_forward(self):
+        x, w, b = self._inputs()
+        product = ad.matmul(x, w)
+        product_data = weakref.ref(product.data)
+        total = ad.add(product, b)  # add's backward reads only shapes
+        del product
+        assert product_data() is None
+        assert total._parents
+        tensor_sum(total).backward()
+        np.testing.assert_allclose(w.grad, x.data.T @ np.ones((4, 5)))
+        np.testing.assert_allclose(b.grad, np.full(5, 4.0))
+
+    def test_a_saved_array_is_freed_by_backward(self):
+        x, w, _ = self._inputs()
+        product = ad.matmul(x, w)
+        product_data = weakref.ref(product.data)
+        loss = tensor_sum(ad.gelu(product))  # gelu's backward reads its input
+        del product
+        assert product_data() is not None
+        loss.backward()
+        assert product_data() is None
+        assert x.grad is not None and w.grad is not None
+
+    def test_a_second_backward_through_a_graph_raises_in_one_line(self):
+        x, w, _ = self._inputs()
+        loss = tensor_sum(ad.matmul(x, w))
+        loss.backward()
+        with pytest.raises(ad.ShapeError, match="freed") as err:
+            loss.backward()
+        assert "\n" not in str(err.value)
+
+    def test_a_new_loss_on_a_backwarded_output_raises_before_any_gradient(self):
+        x, w, _ = self._inputs()
+        product = ad.matmul(x, w)
+        tensor_sum(product).backward()
+        first = x.grad.copy()
+        with pytest.raises(ad.ShapeError, match="freed"):
+            tensor_sum(ad.gelu(product)).backward()
+        np.testing.assert_array_equal(x.grad, first)
+
+    def test_backward_runs_the_closure_a_record_holds_when_it_runs(self):
+        """A closure set on an output after the op returned, as a tracer does,
+        is the one backward calls."""
+        x, w, _ = self._inputs()
+        out = ad.matmul(x, w)
+        calls = []
+        recorded = out._backward
+        out._backward = lambda g: calls.append(g.shape) or recorded(g)
+        tensor_sum(out).backward()
+        assert calls == [(4, 5)]
+        assert out._parents == () and out._backward is None  # freed once it ran
+
+    def test_dropout_saves_a_bool_mask_and_its_gradient_is_bit_exact(self):
+        rng = np.random.default_rng(23)
+        x = _param(rng.normal(size=(3, 4, 5)))
+        g = rng.normal(size=(3, 4, 5))
+        p = 0.3
+        out = ad.dropout(x, p, np.random.default_rng(5))
+        mask = (np.random.default_rng(5).random(x.shape) >= p).astype(np.float64) / (1 - p)
+        saved = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert [a.dtype for a in saved] == [np.bool_]
+        (dx,) = out._backward(g)
+        assert (x.data * mask).tobytes() == out.data.tobytes()
+        assert (g * mask).tobytes() == dx.tobytes()
 
 
 class TestNoGrad:

@@ -171,3 +171,10 @@ def test_a_traced_run_hits_every_site_and_covers_its_cycles(workload):
     cycles = {run: share for run, share in found["coverage"].items() if run.startswith("cycle.")}
     assert {run.rsplit(".", 1)[1] for run in cycles} == stages
     assert all(share >= 0.9 for share in cycles.values()), cycles
+    if workload == "train":
+        # the tracer times backward by replacing each op output's recorded
+        # closure; a backward that called some other closure would leave these 0
+        metrics = found["result"]["metrics"]
+        backward_rows = {name: metrics[f"autodiff.{name}.bwd_s"]["value"]
+                         for name in ("matmul", "softmax", "gelu", "dropout")}
+        assert all(value > 0 for value in backward_rows.values()), backward_rows

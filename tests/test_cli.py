@@ -724,3 +724,11 @@ class TestVerify:
         assert manifest["command"] == "split"
         assert manifest["seed"] == 0
         assert manifest["input_digests"]
+
+    def test_manifest_records_peak_rss_and_numpy(self, tmp_path, dataset):
+        out = tmp_path / "s"
+        assert main(["split", "--dataset", str(dataset), "--kind", "random", "--out", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["numpy"] == np.__version__
+        # the process's peak so far: at least what numpy alone takes, far below the host's memory
+        assert 10 < manifest["peak_rss_mib"] < 64 * 1024

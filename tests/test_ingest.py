@@ -36,6 +36,21 @@ class TestParseTsv:
         with pytest.raises(IngestError, match="unknown residue '9' at line 2"):
             parse_tsv(path)
 
+    @pytest.mark.parametrize("seq, message", [
+        ("mkvj", "unknown residue 'J' at line 2"),
+        ("MK*V", "unknown residue '*' at line 2"),
+        ("mkéJ", "unknown residue 'É' at line 2"),
+        ("MKΩV", "unknown residue 'Ω' at line 2"),
+    ])
+    def test_unknown_residue_message_names_the_first_after_uppercasing(self, tmp_path, seq, message):
+        first_unknown = next(ch for ch in seq.upper() if ch not in ingest.RESIDUE_ALPHABET)
+        assert f"'{first_unknown}'" in message  # the per-character scan's answer
+        path = tmp_path / "in.tsv"
+        path.write_text(f"P1\tMKV\t\nP2\t{seq}\t\n", encoding="utf-8")
+        with pytest.raises(IngestError) as err:
+            parse_tsv(path)
+        assert str(err.value) == message
+
     def test_duplicate_accession(self, tmp_path):
         path = tmp_path / "in.tsv"
         path.write_text("P1\tMKV\t\nP1\tMV\t\n")
