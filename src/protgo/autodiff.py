@@ -161,6 +161,19 @@ def _openblas():
     return get, set_
 
 
+def compute_fingerprint() -> dict:
+    """What picks the kernels, and so the results' last bits: numpy's SIMD targets
+    in use (NPY_DISABLE_CPU_FEATURES drops some), OpenBLAS's core name or None."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    try:
+        core = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+        core.argtypes, core.restype = [], ctypes.c_char_p
+    except (AttributeError, OSError):
+        core = None
+    return {"simd_targets": [t for t in __cpu_dispatch__ if __cpu_features__[t]],
+            "blas_core": core().decode() if core is not None else None}
+
+
 @functools.cache
 def _glibc_malloc():
     """(mallopt, malloc_trim) of glibc, or None under another libc."""
@@ -418,7 +431,8 @@ def gelu(x: Tensor) -> Tensor:
 
     def forward(rows):  # t = tanh(C * (x + 0.044715 * x**3)); out = 0.5 * x * (1 + t)
         xr, tr, o = xd[rows], t[rows], out[rows]
-        np.power(xr, 3, out=tr)
+        np.multiply(xr, xr, out=tr)  # x**3 as two multiplies: np.power's kernel changes with the SIMD level
+        tr *= xr
         tr *= 0.044715
         tr += xr
         tr *= _GELU_C

@@ -21,6 +21,7 @@ from . import ingest, manifest, metrics, splitter, training
 from .model import FreezeMask, ModelError, ProteinEncoder
 
 ASPECT_NAMES = {"BP": "Biological Processes", "MF": "Molecular Function", "CC": "Cellular Component"}
+LOSS_HEADER = "step,epoch,aspect,loss,lr,grad_norm\n"
 
 DomainErrors = (
     ingest.IngestError,
@@ -40,8 +41,9 @@ def _say(args, *message):
 
 
 def _pool_record() -> dict:
-    """Manifest fields of the pool model work runs on (ad.cpu_pool)."""
-    return dict(zip(("scoring_threads", "blas_threads"), ad.pool_threads()))
+    """Manifest fields of the pool model work runs on (ad.cpu_pool) and of the
+    kernels it picks (ad.compute_fingerprint)."""
+    return {**dict(zip(("scoring_threads", "blas_threads"), ad.pool_threads())), **ad.compute_fingerprint()}
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +179,9 @@ def _loss_rows_upto(path, step) -> str:
     """The rows of a loss CSV up to optimizer step `step`. A run killed
     mid-epoch logged steps beyond its last checkpoint, which resuming replays."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = fh.readlines()[1:]
+        header, *rows = fh.readlines() or [""]
+    if header != LOSS_HEADER:  # an earlier version's log: its steps ran without the warmup
+        raise training.TrainingError(f"{path} has header {header.strip()!r}, not that of this version; cannot resume")
     steps = [r.split(",", 1)[0] for r in rows]
     return "".join(r for r, s in zip(rows, steps) if r.endswith("\n") and s.isdigit() and int(s) <= step)
 
@@ -225,7 +229,7 @@ def _train_one_aspect(args, mode, aspect, records, vocabs, meta, out):
             kept = _loss_rows_upto(loss_path, adam_state.step)
     # the header and any kept rows are in place before steps are appended
     with manifest.atomic_open(loss_path) as log:
-        log.write("step,epoch,aspect,loss\n" + kept)
+        log.write(LOSS_HEADER + kept)
     with open(loss_path, "a", encoding="utf-8") as log:
         final_ckpt, records_out = training.train_loop(
             model, data, cfg, mode, freeze_mask=freeze,
@@ -264,7 +268,8 @@ def _cmd_train(args, mode) -> int:
             _say(args, f"{aspect.value}: {len(loss_records)} optimizer steps, "
                        f"final loss {loss_records[-1].loss:.6f}")
     manifest.write_manifest(out, mode, vars_config(args), args.seed, inputs, outputs, started,
-                            {**_pool_record(), "token_budget": training.TOKEN_BUDGET})
+                            {**_pool_record(), "token_budget": training.TOKEN_BUDGET,
+                             "warmup_sequences": training.WARMUP_SEQUENCES})
     return 0
 
 

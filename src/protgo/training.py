@@ -21,6 +21,8 @@ from .model import FreezeMask, ModelConfig, ProteinEncoder, pad_batch
 
 # padded tokens a chunk of a micro-batch may hold: (members) x (longest member)
 TOKEN_BUDGET = 1100
+# sequences (batch_size x grad_accumulation a step) the learning rate warms up over
+WARMUP_SEQUENCES = 640
 
 
 class TrainingError(ValueError):
@@ -139,18 +141,20 @@ class AdamState:
 
 
 def adam_step(params: dict, state: AdamState, lr: float, betas=(0.9, 0.999),
-              eps: float = 1e-8, weight_decay: float = 0.0) -> None:
-    """One Adam update over every requires_grad parameter with a gradient.
-    Weight decay is decoupled: applied to the parameter before the update."""
+              eps: float = 1e-8, weight_decay: float = 0.0) -> float:
+    """One Adam update over every requires_grad parameter with a gradient; returns
+    their global L2 norm. Weight decay is decoupled: applied before the update."""
     b1, b2 = betas
     state.step += 1
     t = state.step
+    squares = 0.0
     for name, tensor in params.items():
         if not tensor.requires_grad or tensor.grad is None:
             continue
         g = tensor.grad
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in parameter group '{name.split('.')[0]}'")
+        squares += float(np.vdot(g, g))
         if weight_decay > 0:
             tensor.data -= lr * weight_decay * tensor.data
         m = state.m[name]
@@ -162,6 +166,7 @@ def adam_step(params: dict, state: AdamState, lr: float, betas=(0.9, 0.999),
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
         tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return float(np.sqrt(squares))
 
 
 def _rng(*key) -> np.random.Generator:
@@ -240,14 +245,15 @@ def train_loop(model: ProteinEncoder, data, config, mode: str,
 
         def flush():
             nonlocal pending, acc_loss, step
-            adam_step(model.params, adam_state, config.learning_rate,
-                      weight_decay=config.weight_decay)
+            seen = (adam_state.step + 1) * config.batch_size * config.grad_accumulation
+            lr = config.learning_rate * min(1.0, seen / WARMUP_SEQUENCES)
+            grad_norm = adam_step(model.params, adam_state, lr, weight_decay=config.weight_decay)
             model.zero_grads()
             step += 1
             rec = LossRecord(step=step, epoch=epoch, loss=acc_loss, aspect=aspect)
             records.append(rec)
             if loss_log is not None:
-                loss_log.write(f"{rec.step},{rec.epoch},{rec.aspect},{rec.loss:.10g}\n")
+                loss_log.write(f"{rec.step},{rec.epoch},{rec.aspect},{rec.loss:.10g},{lr:.10g},{grad_norm:.10g}\n")
                 loss_log.flush()
             pending = 0
             acc_loss = 0.0

@@ -168,6 +168,44 @@ def layer_norm_ref(x, eps=1e-12):
     return (x - mean) / np.sqrt(var + eps)
 
 
+def gelu_power_forward(x):
+    """(out, t) of autodiff.gelu's forward as it was, its cube taken by
+    np.power, whose kernel changes its last bits with numpy's SIMD level."""
+    t = np.power(x, 3)
+    t *= 0.044715
+    t += x
+    t *= ad._GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(x, 0.5)
+    out *= 1.0 + t
+    return out, t
+
+
+def gelu_power(x):
+    """autodiff.gelu as an op on gelu_power_forward, with the backward
+    autodiff.gelu has: the op criterion 3 was tuned on before its warmup."""
+    xd = x.data
+    out, t = gelu_power_forward(xd)
+
+    def backward(g):
+        r = np.square(xd)
+        r *= 3 * 0.044715
+        r += 1.0
+        r *= ad._GELU_C
+        u = np.square(t)
+        np.subtract(1.0, u, out=u)
+        v = np.multiply(xd, 0.5)
+        v *= u
+        r *= v
+        np.add(t, 1.0, out=u)
+        u *= 0.5
+        r += u
+        r *= g
+        return (r,)
+
+    return ad._make(out, (x,), backward)
+
+
 def score_one_at_a_time(model, tokens):
     """Sigmoid label scores the way predict computed them before batched
     inference: each sequence padded on its own, the forward pass run with the

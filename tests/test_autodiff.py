@@ -1,16 +1,20 @@
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from protgo import autodiff as ad
 from conftest import blas_threads
-from oracles import constant, finite_difference_grads, relative_error, tensor_sum
+from oracles import constant, finite_difference_grads, gelu_power_forward, relative_error, tensor_sum
 
 
 def _param(data):
@@ -119,6 +123,41 @@ class TestSimpleOps:
     def test_add_bias_over_last_axis(self):
         out = ad.add(_param(np.zeros((2, 3))), _param([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(out.data, [[1, 2, 3], [1, 2, 3]])
+
+
+class TestGelu:
+    def test_forward_agrees_with_the_np_power_cube(self):
+        """x*x*x rounds differently from np.power(x, 3). Off by at most an ulp
+        of 1 + tanh(...) times x / 2, the output stays within 2.3e-16 of |x|;
+        relative to the output it cannot, since 1 + tanh(...) cancels for
+        negative x."""
+        x = np.random.default_rng(0).normal(size=10**5)
+        got = ad.gelu(ad.Tensor(x)).data
+        want, _ = gelu_power_forward(x)
+        assert np.all(np.abs(got - want) <= 2.3e-16 * np.abs(x))
+
+    def test_the_same_bits_with_avx512_dispatch_off(self):
+        """GELU uses no numpy kernel whose bits change with the SIMD level, so a
+        host without AVX512 computes the same output."""
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        avx512 = [t for t in __cpu_dispatch__ if (t == "X86_V4" or t.startswith("AVX512")) and __cpu_features__[t]]
+        if not avx512:
+            pytest.skip("no AVX512 dispatch target on this host")
+        code = ("import hashlib, json, numpy as np; from protgo import autodiff as ad\n"
+                "x = np.random.default_rng(1).normal(0, 3, size=(4, 1002, 64))\n"
+                "with ad.cpu_pool(): out = ad.gelu(ad.Tensor(x)).data\n"
+                "print(json.dumps([hashlib.sha256(out.tobytes()).hexdigest(), ad.compute_fingerprint()]))")
+        src = str(Path(ad.__file__).resolve().parents[1])
+        runs = []
+        for disabled in ("", " ".join(avx512)):
+            env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": disabled}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                  check=True, timeout=120)
+            runs.append(json.loads(proc.stdout))
+        (digest, fingerprint), (digest_off, fingerprint_off) = runs
+        assert set(avx512) <= set(fingerprint["simd_targets"])
+        assert not set(avx512) & set(fingerprint_off["simd_targets"])  # the host emulation took
+        assert digest_off == digest
 
 
 class TestBackward:

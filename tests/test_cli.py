@@ -1,5 +1,7 @@
+import ctypes
 import hashlib
 import json
+import math
 import os
 import signal
 import stat
@@ -221,6 +223,33 @@ class TestTrainCommands:
         epochs = {int(l.split(",")[1]) for l in lines[1:]}
         assert epochs == {0, 1, 2, 3}
 
+    def test_loss_log_records_the_warmed_up_rate_and_the_gradient_norm(self, tmp_path, dataset):
+        run = _finetune(tmp_path, dataset, extra=["--aspect", "MF"])
+        header, *lines = (run / "loss_MF.csv").read_text().splitlines()
+        assert header == "step,epoch,aspect,loss,lr,grad_norm"
+        rows = [line.split(",") for line in lines]
+        assert rows and all(len(r) == 6 for r in rows)
+        lr, per_step = FT_JSON["learning_rate"], FT_JSON["batch_size"] * FT_JSON["grad_accumulation"]
+        assert [r[4] for r in rows] == [f"{lr * min(1.0, int(r[0]) * per_step / training.WARMUP_SEQUENCES):.10g}"
+                                        for r in rows]
+        assert all(math.isfinite(float(r[5])) and float(r[5]) > 0 for r in rows)
+
+    def test_resume_refuses_a_loss_log_of_an_earlier_version(self, tmp_path, dataset, capsys):
+        """A log without the lr and grad_norm columns was written by a run
+        without the warmup; continuing it would mix both in one trace."""
+        run = _finetune(tmp_path, dataset, extra=["--aspect", "MF"])
+        log = run / "loss_MF.csv"
+        header, *rows = log.read_text().splitlines(keepends=True)
+        old = "step,epoch,aspect,loss\n" + "".join(r.rsplit(",", 2)[0] + "\n" for r in rows)
+        log.write_text(old)
+        capsys.readouterr()
+        rc = main(["finetune", "--dataset", str(dataset), "--aspect", "MF", "--resume",
+                   str(run / "model_MF.ckpt"), "--out", str(run), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'step,epoch,aspect,loss'" in err[0] and "cannot resume" in err[0]
+        assert log.read_text() == old
+
     def test_resume_after_a_kill_mid_epoch_logs_each_step_once(self, tmp_path, dataset):
         model_cfg = _write(tmp_path / "model.json", MODEL_JSON)
         two = _write(tmp_path / "two.json", {**FT_JSON, "epochs": 2})
@@ -321,6 +350,8 @@ class TestPredictCommand:
         lines = (out / "predictions.tsv").read_text().splitlines()
         assert len(lines) == 9  # 3 aspects x top-3 vocab
         assert _pool_record(out) in POOL_RECORDS
+        recorded = json.loads((out / "manifest.json").read_text())
+        assert {k: recorded[k] for k in ("simd_targets", "blas_core")} == ad.compute_fingerprint()
 
     def test_missing_checkpoint_file(self, tmp_path, dataset):
         query = tmp_path / "q.tsv"
@@ -708,14 +739,33 @@ class TestVerify:
                      "--out", str(tmp_path / "ev"), "--quiet"]) == 0
         for out in (tmp_path / "pre", run, tmp_path / "ev"):
             assert _pool_record(out) in POOL_RECORDS
-        budgets = [json.loads((out / "manifest.json").read_text()).get("token_budget")
-                   for out in (tmp_path / "pre", run, tmp_path / "ev")]
+        recorded = [json.loads((out / "manifest.json").read_text()) for out in (tmp_path / "pre", run, tmp_path / "ev")]
+        budgets = [m.get("token_budget") for m in recorded]
         assert budgets == [training.TOKEN_BUDGET, training.TOKEN_BUDGET, None]  # only training chunks
+        warmups = [m.get("warmup_sequences") for m in recorded]
+        assert warmups == [training.WARMUP_SEQUENCES, training.WARMUP_SEQUENCES, None]
+        fingerprint = ad.compute_fingerprint()
+        assert [{k: m.get(k) for k in fingerprint} for m in recorded] == [fingerprint] * 3
         pred = tmp_path / "pred.tsv"
         pred.write_text("")
         assert main(["evaluate", "--dataset", str(dataset), "--predictions", str(pred),
                      "--out", str(tmp_path / "evp"), "--quiet"]) == 0
         assert _pool_record(tmp_path / "evp") == (None, None)  # no model ran
+
+    def test_the_compute_fingerprint(self, monkeypatch):
+        fingerprint = ad.compute_fingerprint()
+        assert all(isinstance(t, str) for t in fingerprint["simd_targets"])
+        assert (fingerprint["blas_core"] is None) == (ad._openblas() is None)  # e.g. "SkylakeX" if not
+
+        class ThreadsOnly:  # an OpenBLAS that exports its thread calls but no core name
+            scipy_openblas_get_num_threads64_ = ctypes.CFUNCTYPE(ctypes.c_int)(lambda: 1)
+            scipy_openblas_set_num_threads64_ = ctypes.CFUNCTYPE(None, ctypes.c_int)(lambda n: None)
+
+        monkeypatch.setattr(ad.ctypes, "CDLL", lambda path: ThreadsOnly())
+        assert ad.compute_fingerprint() == {**fingerprint, "blas_core": None}
+        assert ad._openblas.__wrapped__() is not None  # the pool still pins the BLAS threads
+        monkeypatch.setattr(ad.ctypes, "CDLL", lambda path: object())  # another BLAS
+        assert ad.compute_fingerprint() == {**fingerprint, "blas_core": None}
 
     def test_every_command_writes_manifest(self, tmp_path, dataset):
         out = tmp_path / "s"

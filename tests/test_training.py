@@ -152,6 +152,15 @@ class TestAdam:
         adam_step(params, state, lr=0.01)
         np.testing.assert_array_equal(t.data, [1.0])
 
+    def test_returns_the_global_norm_of_the_gradients_it_applied(self):
+        params = {"a.w": ad.parameter(np.zeros(2)), "b.w": ad.parameter(np.zeros((1, 2))),
+                  "c.w": ad.parameter(np.zeros(1)), "d.w": ad.parameter(np.zeros(1))}
+        params["a.w"].grad = np.array([3.0, 0.0])
+        params["b.w"].grad = np.array([[0.0, 4.0]])
+        params["c.w"].grad = np.array([12.0])
+        params["c.w"].requires_grad = False  # frozen: not applied, not counted
+        assert adam_step(params, AdamState(params), lr=0.01) == 5.0
+
 
 class TestConfigs:
     def test_mask_probability_bounds(self):
@@ -263,6 +272,38 @@ class TestTrainLoop:
         assert resumed == uninterrupted
         for k in model_a.params:
             np.testing.assert_array_equal(model_a.params[k].data, model_c.params[k].data)
+
+    @pytest.mark.parametrize("batch_size, grad_accumulation", [(4, 1), (2, 2)])
+    def test_learning_rate_warms_up_over_sequences_across_a_resume(self, monkeypatch, tmp_path,
+                                                                   batch_size, grad_accumulation):
+        """The rate applied at Adam step s (from 0) is lr * min(1, (s + 1) *
+        batch_size * grad_accumulation / WARMUP_SEQUENCES), counted on the
+        optimizer state, so a run resumed into more epochs goes on warming up
+        where it stopped, and accumulating micro-batches does not stretch it
+        over more sequences; the loss log holds it."""
+        monkeypatch.setattr(training, "WARMUP_SEQUENCES", 40)
+        applied = []
+
+        def recording_adam_step(params, state, lr, **kwargs):
+            applied.append((state.step, lr))
+            return adam_step(params, state, lr, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", recording_adam_step)
+        data = _finetune_data(16, seed=1)
+        cfg = FinetuneConfig(epochs=2, batch_size=batch_size, grad_accumulation=grad_accumulation,
+                             learning_rate=1e-3, seed=7)
+        train_loop(ProteinEncoder(TINY, seed=2), data, cfg, "finetune", checkpoint_path=tmp_path / "m.ckpt")
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        model = loaded.to_model()
+        start_epoch, state = resume_state(loaded, model)
+        with open(tmp_path / "loss.csv", "w", encoding="utf-8") as log:
+            train_loop(model, data, FinetuneConfig(**{**vars(cfg), "epochs": 3}), "finetune",
+                       loss_log=log, start_epoch=start_epoch, adam_state=state)
+        warmed = [1e-3 * min(1.0, (s + 1) * 4 / 40) for s in range(12)]  # 4 sequences a step, 4 steps an epoch
+        assert applied == list(enumerate(warmed))
+        rows = [line.split(",") for line in (tmp_path / "loss.csv").read_text().splitlines()]
+        assert [r[4] for r in rows] == [f"{lr:.10g}" for lr in warmed[8:]]
+        assert all(np.isfinite(float(r[5])) and float(r[5]) > 0 for r in rows)
 
     def test_non_finite_loss_aborts(self):
         data = _finetune_data(8, seed=2)
