@@ -13,11 +13,9 @@ raise immediately. ``scale``, ``add_constant`` and ``softmax`` take a
 numpy-style ``out``; it may be the input's buffer if no other op reads the
 input, since none of their own backwards reads the input's value.
 
-Inside ``cpu_pool()`` the heavy ops (batched ``matmul``, ``softmax``,
-``gelu``, ``layer_norm`` and ``scale``, forward and backward) split their
-leading axis into one block per worker. Each block runs the numpy calls of
-the whole array in the same order, and no reduction crosses a block, so the
-bits do not depend on the number of workers.
+Every op runs on the thread that calls it. ``cpu_pool()`` gives parallel
+callers, such as training's chunks, an executor to share, with OpenBLAS held
+at one thread, so an op's bits do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -201,25 +199,20 @@ class _Pool:
     """The process's one cpu_pool(): BLAS threads and malloc arenas are per process."""
 
     executor = None  # the ThreadPoolExecutor of the open cpu_pool() block
-    owner = None  # ident of the thread that opened it: only its ops split
-    workers = 1
 
 
 _pool = _Pool()
 _pool_lock = threading.Lock()
-# elements: a smaller op runs as one block, since handing out blocks costs more than it saves
-_FLOOR = 2 ** 15
 
 
 @contextlib.contextmanager
 def cpu_pool():
-    """Yields an executor of one thread per usable CPU, and splits the heavy ops
-    the opening thread calls over it. While it is open, numpy's OpenBLAS runs at
-    one thread (its count is restored after the workers are joined) and the
-    process keeps one malloc arena, whose free pages go back to the system when
-    the block closes, so no block's peak grows with what earlier blocks' threads
-    left fragmented. An open inside an open block, from any thread, yields the
-    same executor and changes nothing."""
+    """Yields an executor of one thread per usable CPU. While it is open,
+    numpy's OpenBLAS runs at one thread (its count is restored after the
+    workers are joined) and the process keeps one malloc arena, whose free
+    pages go back to the system when the block closes, so no block's peak grows
+    with what earlier blocks' threads left fragmented. An open inside an open
+    block, from any thread, yields the same executor and changes nothing."""
     with _pool_lock:
         outer = _pool.executor
         if outer is None:
@@ -232,7 +225,6 @@ def cpu_pool():
             if blas:
                 blas[1](1)  # BLAS threads on top of the workers would oversubscribe the CPUs
             _pool.executor = ThreadPoolExecutor(workers)
-            _pool.owner, _pool.workers = threading.get_ident(), workers
     if outer is not None:
         yield outer
         return
@@ -241,36 +233,11 @@ def cpu_pool():
     finally:
         _pool.executor.shutdown(cancel_futures=True)  # queued calls are dropped, running ones joined
         with _pool_lock:
-            _pool.executor, _pool.owner, _pool.workers = None, None, 1
+            _pool.executor = None
         if blas:
             blas[1](previous)
         if malloc:
             malloc[1](0)  # malloc_trim
-
-
-def _split(out, kernel, reduced=None):
-    """Calls kernel(rows) so that together the calls cover out's leading axis,
-    and returns out. On the thread that opened cpu_pool(), an `out` of at least
-    _FLOOR elements is cut into one block of rows per worker, the first run
-    here; elsewhere kernel(...) runs once. `reduced` is the axis the kernel
-    reduces along, never split. A kernel writes only its own rows of `out`."""
-    n = out.shape[0] if out.ndim else 1
-    blocks = 1
-    if (out.size >= _FLOOR and _pool.owner == threading.get_ident()
-            and (reduced is None or reduced % out.ndim != 0)):
-        blocks = min(_pool.workers, n)
-    if blocks == 1:
-        kernel(...)
-        return out
-    bounds = [n * i // blocks for i in range(blocks + 1)]
-    futures = [_pool.executor.submit(kernel, slice(lo, hi)) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        kernel(slice(0, bounds[1]))
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
-    return out
 
 
 def _make(data, parents, backward):
@@ -305,25 +272,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
-def _scaled(x, c, out=None):
-    """x * c, into `out` when given."""
-    out = np.empty_like(x) if out is None else out
-    return _split(out, lambda rows: np.multiply(x[rows], c, out=out[rows]))
-
-
 def scale(a: Tensor, c: float, out=None) -> Tensor:
     """a * c, written into `out` when given; `out` may be a.data."""
     c = float(c)
-    return _make(_scaled(a.data, c, out), (a,), lambda g: (_scaled(g, c),))
-
-
-def _matmul(x, y):
-    """np.matmul(x, y), split by rows of x's leading axis when x has batch axes."""
-    if x.ndim < 3 or y.ndim > x.ndim or (y.ndim == x.ndim and y.shape[0] not in (1, x.shape[0])):
-        return np.matmul(x, y)
-    y_rows = y.ndim == x.ndim and y.shape[0] > 1
-    out = np.empty(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1]))
-    return _split(out, lambda rows: np.matmul(x[rows], y[rows] if y_rows else y, out=out[rows]))
+    return _make(np.multiply(a.data, c, out=out), (a,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -334,11 +286,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     x, y = a.data, b.data
 
     def backward(g):
-        ga = _unbroadcast(_matmul(g, y.swapaxes(-1, -2)), x.shape)
-        gb = _unbroadcast(_matmul(x.swapaxes(-1, -2), g), y.shape)
+        ga = _unbroadcast(np.matmul(g, y.swapaxes(-1, -2)), x.shape)
+        gb = _unbroadcast(np.matmul(x.swapaxes(-1, -2), g), y.shape)
         return ga, gb
 
-    return _make(_matmul(x, y), (a, b), backward)
+    return _make(np.matmul(x, y), (a, b), backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -357,26 +309,19 @@ def softmax(a: Tensor, axis: int = -1, out=None) -> Tensor:
     """Softmax along `axis`, into `out` when given; `out` may be a.data."""
     x = a.data
     out = np.empty_like(x) if out is None else out
+    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
-    def forward(rows):
-        o = out[rows]
-        np.subtract(x[rows], x[rows].max(axis=axis, keepdims=True), out=o)
-        np.exp(o, out=o)
-        o /= o.sum(axis=axis, keepdims=True)
-
-    def backward(g):
+    def backward(g):  # (g - sum(g * out)) * out
         dx = np.empty_like(g)
+        np.multiply(g, out, out=dx)
+        dot = dx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=dx)
+        dx *= out
+        return (dx,)
 
-        def rows_of(rows):  # (g - sum(g * out)) * out
-            r, gr = dx[rows], g[rows]
-            np.multiply(gr, out[rows], out=r)
-            dot = r.sum(axis=axis, keepdims=True)
-            np.subtract(gr, dot, out=r)
-            r *= out[rows]
-
-        return (_split(dx, rows_of, axis),)
-
-    return _make(_split(out, forward, axis), (a,), backward)
+    return _make(out, (a,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
@@ -387,37 +332,29 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
     inv = np.empty(xd.shape[:-1] + (1,))
     xhat = np.empty_like(xd)
     out = np.empty_like(xd)
+    mean = xd.mean(axis=-1, keepdims=True)
+    var = xd.var(axis=-1, keepdims=True)  # population variance
+    np.divide(1.0, np.sqrt(var + eps), out=inv)
+    np.subtract(xd, mean, out=xhat)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
-    def forward(rows):
-        xr, xh, o = xd[rows], xhat[rows], out[rows]
-        mean = xr.mean(axis=-1, keepdims=True)
-        var = xr.var(axis=-1, keepdims=True)  # population variance
-        np.divide(1.0, np.sqrt(var + eps), out=inv[rows])
-        np.subtract(xr, mean, out=xh)
-        xh *= inv[rows]
-        np.multiply(xh, gamma.data, out=o)
-        o += beta.data
-
-    def backward(g):
+    def backward(g):  # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
         dx = np.empty_like(g)
-
-        def rows_of(rows):  # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gamma
-            r, xh = dx[rows], xhat[rows]
-            gg = g[rows] * gamma.data
-            np.multiply(gg, xh, out=r)
-            m = r.mean(axis=-1, keepdims=True)
-            np.multiply(xh, m, out=r)
-            gg -= gg.mean(axis=-1, keepdims=True)
-            np.subtract(gg, r, out=r)
-            r *= inv[rows]
-
-        _split(dx, rows_of, -1)
+        gg = g * gamma.data
+        np.multiply(gg, xhat, out=dx)
+        m = dx.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m, out=dx)
+        gg -= gg.mean(axis=-1, keepdims=True)
+        np.subtract(gg, dx, out=dx)
+        dx *= inv
         axes = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=axes)
         dbeta = g.sum(axis=axes)
         return dx, dgamma, dbeta
 
-    return _make(_split(out, forward, -1), (x, gamma, beta), backward)
+    return _make(out, (x, gamma, beta), backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -426,42 +363,35 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     # tanh approximation; forward and backward are self-consistent
     xd = x.data
-    t = np.empty_like(xd)
+    t = np.empty_like(xd)  # t = tanh(C * (x + 0.044715 * x**3)); out = 0.5 * x * (1 + t)
     out = np.empty_like(xd)
+    np.multiply(xd, xd, out=t)  # x**3 as two multiplies: np.power's kernel changes with the SIMD level
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    np.multiply(xd, 0.5, out=out)
+    out *= 1.0 + t
 
-    def forward(rows):  # t = tanh(C * (x + 0.044715 * x**3)); out = 0.5 * x * (1 + t)
-        xr, tr, o = xd[rows], t[rows], out[rows]
-        np.multiply(xr, xr, out=tr)  # x**3 as two multiplies: np.power's kernel changes with the SIMD level
-        tr *= xr
-        tr *= 0.044715
-        tr += xr
-        tr *= _GELU_C
-        np.tanh(tr, out=tr)
-        np.multiply(xr, 0.5, out=o)
-        o *= 1.0 + tr
-
-    def backward(g):
+    def backward(g):  # g * (0.5 * (1 + t) + 0.5 * x * (1 - t**2) * C * (1 + 3 * 0.044715 * x**2))
         dx = np.empty_like(g)
+        np.square(xd, out=dx)
+        dx *= 3 * 0.044715
+        dx += 1.0
+        dx *= _GELU_C
+        u = np.square(t)
+        np.subtract(1.0, u, out=u)
+        v = np.multiply(xd, 0.5)
+        v *= u
+        dx *= v
+        np.add(t, 1.0, out=u)
+        u *= 0.5
+        dx += u
+        dx *= g
+        return (dx,)
 
-        def rows_of(rows):  # g * (0.5 * (1 + t) + 0.5 * x * (1 - t**2) * C * (1 + 3 * 0.044715 * x**2))
-            xr, tr, r = xd[rows], t[rows], dx[rows]
-            np.square(xr, out=r)
-            r *= 3 * 0.044715
-            r += 1.0
-            r *= _GELU_C
-            u = np.square(tr)
-            np.subtract(1.0, u, out=u)
-            v = np.multiply(xr, 0.5)
-            v *= u
-            r *= v
-            np.add(tr, 1.0, out=u)
-            u *= 0.5
-            r += u
-            r *= g[rows]
-
-        return (_split(dx, rows_of),)
-
-    return _make(_split(out, forward), (x,), backward)
+    return _make(out, (x,), backward)
 
 
 def mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:

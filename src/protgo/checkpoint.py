@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manifest import atomic_open
-from .model import FreezeMask, ModelConfig, ProteinEncoder, check_params
+from .model import FreezeMask, ModelConfig, ModelError, ProteinEncoder, check_params
 
 MAGIC = b"PGO1"
 FORMAT_VERSION = 1
@@ -119,18 +119,28 @@ def load_checkpoint(path) -> Checkpoint:
         config = ModelConfig.from_dict(header["config"])
         freeze_mask = FreezeMask(dict(header["freeze_mask"]))
         rng_state = dict(header["rng_state"])
-        step = None if header["optimizer"] is None else int(header["optimizer"]["step"])
+        step = None if header["optimizer"] is None else header["optimizer"]["step"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint header ({exc!r}): {path}") from None
+    # resuming seeds generators with these and counts Adam's steps on
+    counts = {f"rng_state {k}": rng_state[k] for k in ("seed", "epochs_completed") if k in rng_state}
+    if step is not None:
+        counts["optimizer step"] = step
+    for what, value in counts.items():
+        if not (type(value) is int and value >= 0):
+            raise CheckpointError(f"checkpoint {what} {value!r} is not an integer >= 0: {path}")
     params = {k[len("param."):]: v for k, v in arrays.items() if k.startswith("param.")}
+    check_params(config, params)
     optimizer_state = None
     if step is not None:
-        optimizer_state = {
-            "step": step,
-            "m": {k[len("adam.m."):]: v for k, v in arrays.items() if k.startswith("adam.m.")},
-            "v": {k[len("adam.v."):]: v for k, v in arrays.items() if k.startswith("adam.v.")},
-        }
-    check_params(config, params)
+        optimizer_state = {"step": step}
+        for moment in ("m", "v"):
+            prefix = f"adam.{moment}."
+            optimizer_state[moment] = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+            try:  # a resume is exact only with every moment in place
+                check_params(config, optimizer_state[moment])
+            except ModelError as exc:
+                raise CheckpointError(f"checkpoint Adam moments '{moment}' do not fit the model ({exc}): {path}") from None
     return Checkpoint(config=config, params=params, freeze_mask=freeze_mask,
                       optimizer_state=optimizer_state, rng_state=rng_state)
 

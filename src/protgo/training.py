@@ -129,10 +129,8 @@ class AdamState:
     def from_arrays(cls, params: dict, step: int, m: dict, v: dict) -> "AdamState":
         state = cls(params)
         state.step = step
-        for k in state.m:
-            if k in m:
-                state.m[k] = m[k].copy()
-                state.v[k] = v[k].copy()
+        state.m = {k: m[k].copy() for k in params}
+        state.v = {k: v[k].copy() for k in params}
         return state
 
     def to_arrays(self) -> dict:
@@ -220,8 +218,7 @@ def train_loop(model: ProteinEncoder, data, config, mode: str,
     Returns (final Checkpoint, list of LossRecord). One optimizer step per
     grad_accumulation micro-batches; micro-batch losses are scaled by
     1/grad_accumulation so the step is equivalent to one large batch.
-    Runs on ad.cpu_pool(): a micro-batch cut into several chunks runs them
-    on its workers.
+    Runs on ad.cpu_pool(): every micro-batch runs its chunks on its workers.
     """
     if not data:
         raise TrainingError("training data is empty")
@@ -269,21 +266,19 @@ def train_loop(model: ProteinEncoder, data, config, mode: str,
             size = (lambda part: sum(len(t) for _, t in part)) if mode == "pretrain" else len
             jobs = [(part, size(part) / size(rows), _rng(config.seed, epoch, batch_no, c))
                     for c, part in enumerate(parts)]
+            # each chunk runs on a worker, on a copy that shares the model's arrays
+            copies = [ProteinEncoder(model.config, params={k: t.data for k, t in model.params.items()})
+                      for _ in jobs]
+            for part in copies:
+                part.apply_freeze(freeze_mask, mode=mode)
             run = functools.partial(_chunk_loss, mode=mode, grad_accumulation=config.grad_accumulation)
-            if len(jobs) == 1:  # on this thread, its ops split over the pool
-                losses = [run(model, *jobs[0])]
-            else:  # whole chunks on the workers, each on a copy that shares the model's arrays
-                copies = [ProteinEncoder(model.config, params={k: t.data for k, t in model.params.items()})
-                          for _ in jobs]
-                for part in copies:
-                    part.apply_freeze(freeze_mask, mode=mode)
-                with ad.cpu_pool() as pool:
-                    losses = list(pool.map(run, copies, *zip(*jobs)))
-                for part in copies:  # summed here in chunk order, so the worker count changes no bit
-                    for k, t in part.params.items():
-                        if t.grad is not None:
-                            g = model.params[k].grad
-                            model.params[k].grad = t.grad if g is None else g + t.grad
+            with ad.cpu_pool() as pool:
+                losses = list(pool.map(run, copies, *zip(*jobs)))
+            for part in copies:  # summed here in chunk order, so the worker count changes no bit
+                for k, t in part.params.items():
+                    if t.grad is not None:
+                        g = model.params[k].grad
+                        model.params[k].grad = t.grad if g is None else g + t.grad
             acc_loss += sum(losses) / config.grad_accumulation
             pending += 1
             if pending == config.grad_accumulation:

@@ -86,8 +86,9 @@ def two_blas_threads():
 
 @pytest.fixture(params=[2, 3])
 def split_pool(request, monkeypatch):
-    """ad.cpu_pool() gets 2 or 3 workers whatever the host's CPU count, so the
-    ops split on a one-CPU host too. A test may ask for other counts, 1
-    included, with @pytest.mark.parametrize("split_pool", [...], indirect=True)."""
+    """ad.cpu_pool() gets 2 or 3 workers whatever the host's CPU count, so
+    training's chunks run on several workers on a one-CPU host too. A test may
+    ask for other counts, 1 included, with
+    @pytest.mark.parametrize("split_pool", [...], indirect=True)."""
     monkeypatch.setattr(ad, "_cpus", lambda: request.param)
     return request.param

@@ -70,6 +70,16 @@ def _finetune(tmp_path, dataset, out_name="run", extra=()):
     return out
 
 
+def _flatten_a_first_moment(header):
+    entry = next(e for e in header["arrays"] if e["name"].startswith("adam.m.") and len(e["shape"]) == 2)
+    entry["shape"] = [math.prod(entry["shape"])]  # the same bytes, in another shape than its parameter's
+
+
+def _flip_a_bit_of_a_second_moment_name(header):
+    entry = next(e for e in header["arrays"] if e["name"].startswith("adam.v."))
+    entry["name"] = entry["name"][:-1] + chr(ord(entry["name"][-1]) ^ 1)
+
+
 class TestPreprocess:
     def test_outputs_and_vocab_length(self, dataset):
         for aspect in ("BP", "MF", "CC"):
@@ -186,6 +196,24 @@ class TestTrainCommands:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and setting in err[0]
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: header["rng_state"].update(epochs_completed="x"),
+        lambda header: header["rng_state"].update(epochs_completed=[1]),
+        _flatten_a_first_moment,
+        _flip_a_bit_of_a_second_moment_name,
+        lambda header: header.update(arrays=[e for e in header["arrays"] if not e["name"].startswith("adam.m.")]),
+    ], ids=["epochs-not-an-integer", "epochs-a-list", "moment-shape", "moment-name", "no-first-moments"])
+    def test_resume_from_a_malformed_checkpoint_exits_1_with_one_line(self, tmp_path, dataset, capsys, edit):
+        run = _finetune(tmp_path, dataset, extra=["--aspect", "MF"])
+        _rewrite_header(run / "model_MF.ckpt", edit)
+        two = _write(tmp_path / "two.json", {**FT_JSON, "epochs": 2})
+        capsys.readouterr()
+        rc = main(["finetune", "--dataset", str(dataset), "--aspect", "MF", "--config", two, "--resume",
+                   str(run / "model_MF.ckpt"), "--out", str(run), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "model_MF.ckpt" in err[0]
 
     def test_resume_and_init_exclude_each_other(self, tmp_path, dataset):
         with pytest.raises(SystemExit) as exc:
@@ -315,7 +343,8 @@ class TestTrainCommands:
 class TestHostIndependence:
     def test_finetune_writes_the_same_bytes_at_any_blas_or_cpu_count(self, tmp_path):
         """Default model config, one batch-8 step at 250-500 residues: big
-        enough for OpenBLAS to thread and for the ops to split."""
+        enough for OpenBLAS to thread, and cut into chunks that run on the
+        pool's workers."""
         write_corpus_tsv(random_corpus(8, seed=3, min_len=250, max_len=500), tmp_path / "c.tsv")
         dataset = tmp_path / "ds"
         assert main(["preprocess", str(tmp_path / "c.tsv"), "--top-k", "3", "--max-len", "500",

@@ -1,10 +1,14 @@
+import functools
 import json
 import struct
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from protgo import autodiff as ad
 from protgo import ingest
@@ -14,6 +18,7 @@ from protgo.checkpoint import (
 from protgo.model import (
     FreezeMask, ModelConfig, ModelError, ProteinEncoder, pad_batch, parameter_groups,
 )
+from protgo.training import resume_state
 from conftest import blas_threads
 from oracles import encoder_layer_out_of_place, layer_norm_ref, score_one_at_a_time
 
@@ -248,13 +253,23 @@ class TestScore:
         got = np.concatenate([m.score([t]) for t in tokens])
         assert np.array_equal(got, score_one_at_a_time(m, tokens))
 
-    def test_gives_back_blas_threads_and_joins_workers(self, monkeypatch, two_blas_threads, split_pool):
-        monkeypatch.setattr(ad, "_FLOOR", 1)  # the ops split, so the workers start
+    def test_gives_back_blas_threads_and_joins_workers(self, two_blas_threads, split_pool):
+        """A lone score runs on the calling thread, with OpenBLAS at one
+        thread, and starts no worker."""
         m = _model(seed=4)
         tokens = _random_tokens(np.random.default_rng(0), [5, 9, 14, 3], 16)
         before = threading.active_count(), blas_threads()
         expected = score_one_at_a_time(m, tokens)
+        inside = []
+        encoder_layer = m.encoder_layer
+
+        def layer(*args):
+            inside.append(blas_threads())
+            return encoder_layer(*args)
+
+        m.encoder_layer = layer
         np.testing.assert_allclose(m.score(tokens), expected, rtol=0, atol=1e-9)
+        assert inside and set(inside) == {1 if ad._openblas() else None}
         assert (threading.active_count(), blas_threads()) == before
 
 
@@ -390,3 +405,67 @@ class TestCheckpoint:
         smaller = ModelConfig(**{**DESK.to_dict(), "d_model": 4, "d_ff": 8})
         with pytest.raises(ModelError, match="token_embedding.weight"):
             ProteinEncoder(smaller, params=back.params)
+
+
+@functools.cache
+def _fuzz_blob():
+    """A small saved checkpoint with Adam moments and RNG bookkeeping, and its header's length."""
+    cfg = ModelConfig(num_layers=1, d_model=2, num_heads=1, d_ff=2, max_len=2, num_labels=2, dropout=0.0)
+    m = ProteinEncoder(cfg, seed=1)
+    ck = checkpoint_from_model(m, FreezeMask.default_finetune(cfg),
+                               optimizer_state={"step": 3, "m": {k: v.data * 0.1 for k, v in m.params.items()},
+                                                "v": {k: v.data ** 2 for k, v in m.params.items()}},
+                               rng_state={"seed": 5, "epochs_completed": 1})
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(ck, Path(tmp) / "m.ckpt")
+        blob = (Path(tmp) / "m.ckpt").read_bytes()
+    return blob, struct.unpack("<I", blob[4:8])[0]
+
+
+def _resume_from(blob):
+    """load_checkpoint, to_model and resume_state on `blob` written to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        path.write_bytes(blob)
+        try:
+            ckpt = load_checkpoint(path)
+            resume_state(ckpt, ckpt.to_model())
+        except (CheckpointError, ModelError):
+            pass
+
+
+FUZZ = settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestCheckpointFuzz:
+    """A damaged checkpoint loads, or fails with a CheckpointError or a
+    ModelError, which the CLI reports in one line."""
+
+    @FUZZ
+    @given(st.data())
+    def test_truncated_at_any_byte(self, data):
+        blob, _ = _fuzz_blob()
+        _resume_from(blob[:data.draw(st.integers(0, len(blob) - 1))])
+
+    @FUZZ
+    @given(st.data())
+    def test_flipped_bits(self, data):
+        blob, header_len = _fuzz_blob()
+        blob = bytearray(blob)
+        # anywhere in the file, most of them in its magic, length and header
+        at = st.one_of(st.integers(0, 8 * (8 + header_len) - 1), st.integers(0, 8 * len(blob) - 1))
+        for bit in data.draw(st.lists(at, min_size=1, max_size=6)):
+            blob[bit // 8] ^= 1 << (bit % 8)
+        _resume_from(bytes(blob))
+
+    @FUZZ
+    @given(st.data())
+    def test_replaced_header_bytes(self, data):
+        blob, header_len = _fuzz_blob()
+        blob = bytearray(blob)
+        edits = data.draw(st.lists(st.tuples(st.integers(8, 8 + header_len - 1),
+                                             st.sampled_from(b'0123456789eE.-+"[]{},: xnatrue')),
+                                   min_size=1, max_size=4))
+        for at, byte in edits:
+            blob[at] = byte
+        _resume_from(bytes(blob))

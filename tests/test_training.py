@@ -324,7 +324,6 @@ class TestCpuPool:
     @pytest.mark.parametrize("end", ["return", "non-finite loss", "failed write"])
     def test_gives_back_blas_threads_and_joins_workers(
             self, tmp_path, monkeypatch, half_writes, two_blas_threads, split_pool, end):
-        monkeypatch.setattr(ad, "_FLOOR", 1)  # the ops split, so the workers start
         model = ProteinEncoder(TINY, seed=1)
         cfg = FinetuneConfig(epochs=1, batch_size=4, grad_accumulation=1, seed=0)
         before = threading.active_count(), blas_threads()
@@ -425,19 +424,22 @@ class TestChunkedSteps:
     def test_the_bits_do_not_depend_on_the_worker_count(self, monkeypatch, split_pool):
         data = _finetune_data(10, seed=8, length=(40, 120), max_len=200)
         cfg = FinetuneConfig(epochs=1, batch_size=10, grad_accumulation=1, seed=5)
+        assert len(training.chunks([len(seq.ids) for seq, _ in data], 300)) > 1
 
-        def step():
+        def step(budget):
             model = ProteinEncoder(CHUNKED, seed=2)
-            losses, grads = _step_grads(monkeypatch, model, data, cfg, "finetune", None, 300)
+            losses, grads = _step_grads(monkeypatch, model, data, cfg, "finetune", None, budget)
             return losses, grads, {k: t.data for k, t in model.params.items()}
 
-        got = step()
+        budgets = (300, 10 ** 9)  # chunks; then one chunk, which runs on a worker too
+        got = [step(budget) for budget in budgets]
         monkeypatch.setattr(ad, "_cpus", lambda: 1)
-        want = step()
-        assert got[0] == want[0]
-        for a, b in ((got[1][0], want[1][0]), (got[2], want[2])):
-            assert a.keys() == b.keys()
-            assert all(np.array_equal(a[k], b[k]) for k in a)
+        want = [step(budget) for budget in budgets]
+        for g, w in zip(got, want):
+            assert g[0] == w[0]
+            for a, b in ((g[1][0], w[1][0]), (g[2], w[2])):
+                assert a.keys() == b.keys()
+                assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_a_chunk_that_raises_on_a_worker_propagates(self, monkeypatch, two_blas_threads, split_pool):
         monkeypatch.setattr(training, "TOKEN_BUDGET", 40)
