@@ -427,6 +427,65 @@ class TestGradientFidelity:
                 assert relative_error(val, tensor.grad.ravel()[i]) < 1e-4
 
 
+# name -> (op over the input tensors, input shapes given the leading size n);
+# the odd extents put row edges off any SIMD lane boundary
+SPLIT_OPS = {
+    "matmul": (ad.matmul, lambda n: [(n, 7, 33), (33, 19)]),
+    "matmul_batched": (ad.matmul, lambda n: [(n, 3, 11, 5), (n, 3, 5, 13)]),
+    "softmax": (ad.softmax, lambda n: [(n, 3, 11, 13)]),
+    "softmax_out": (lambda a: ad.softmax(a, out=a.data), lambda n: [(n, 3, 11, 13)]),
+    "gelu": (ad.gelu, lambda n: [(n, 7, 37)]),
+    "layer_norm": (ad.layer_norm, lambda n: [(n, 7, 37), (37,), (37,)]),
+    "scale": (lambda a: ad.scale(a, 0.37), lambda n: [(n, 7, 37)]),
+    "scale_out": (lambda a: ad.scale(a, 0.37, out=a.data), lambda n: [(n, 7, 37)]),
+    "scale_loss": (lambda a: ad.scale(a, 1 / 32), lambda n: [()]),
+}
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """The argument tuples of every call cpu_pool()'s executor is handed."""
+    calls = []
+
+    class Spy(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            calls.append(args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(ad, "ThreadPoolExecutor", Spy)
+    return calls
+
+
+class TestSplitOps:
+    """No op splits its rows over cpu_pool()'s workers: the parallelism is
+    training's chunks. Each heavy op runs as one block on whichever thread
+    calls it, and gives the same bits, forward and backward, on the thread
+    that opened the pool, on a pool worker and outside any pool."""
+
+    @staticmethod
+    def _run(op, inputs, g):
+        tensors = [ad.parameter(x.copy()) for x in inputs]
+        out = op(*tensors)
+        return [out.data.copy(), *out._backward(g.copy())]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("name", sorted(SPLIT_OPS))
+    def test_blocks_give_the_bits_of_one_block(self, split_pool, submitted, name, n):
+        op, shapes = SPLIT_OPS[name]
+        rng = np.random.default_rng(n)
+        inputs = [rng.normal(0.0, 3.0, size=shape) for shape in shapes(n)]
+        g = rng.normal(size=np.shape(op(*[ad.Tensor(x.copy()) for x in inputs]).data))
+        outside = self._run(op, inputs, g)
+        with ad.cpu_pool() as pool:
+            opener = self._run(op, inputs, g)
+            assert submitted == []  # the op handed no rows to the workers
+            worker = pool.submit(self._run, op, inputs, g).result()
+        for got in (opener, worker):
+            assert len(got) == len(outside)
+            for a, b in zip(got, outside):
+                assert np.array_equal(a, b)
+
+
 class TestCpuPool:
     def test_threads_opening_it_at_once_share_one_pool_and_close_it(
             self, split_pool, monkeypatch, two_blas_threads):
