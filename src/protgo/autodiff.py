@@ -198,46 +198,50 @@ def pool_threads():
 class _Pool:
     """The process's one cpu_pool(): BLAS threads and malloc arenas are per process."""
 
-    executor = None  # the ThreadPoolExecutor of the open cpu_pool() block
+    executor = None  # the ThreadPoolExecutor of the open cpu_pool() blocks
+    blocks = 0  # open blocks, on threads other than the executor's
+    blas_threads = None  # the BLAS thread count the last block to close restores
 
 
 _pool = _Pool()
 _pool_lock = threading.Lock()
+_worker = threading.local()  # .flag is set on the executor's own threads
 
 
 @contextlib.contextmanager
 def cpu_pool():
-    """Yields an executor of one thread per usable CPU. While it is open,
-    numpy's OpenBLAS runs at one thread (its count is restored after the
-    workers are joined) and the process keeps one malloc arena, whose free
-    pages go back to the system when the block closes, so no block's peak grows
-    with what earlier blocks' threads left fragmented. An open inside an open
-    block, from any thread, yields the same executor and changes nothing."""
+    """Yields an executor of one thread per usable CPU, the same to blocks open on
+    any thread. While one is open, numpy's OpenBLAS runs at one thread and the
+    process keeps one malloc arena. The last to close drops the queued calls,
+    joins the workers, restores the BLAS thread count and the arena limit, and
+    gives free heap pages back to the system, so no block's peak grows with what
+    earlier blocks' threads left fragmented. Workers' own blocks change nothing."""
+    if getattr(_worker, "flag", False):
+        yield _pool.executor
+        return
+    blas, malloc = _openblas(), _glibc_malloc()
     with _pool_lock:
-        outer = _pool.executor
-        if outer is None:
-            workers, _ = pool_threads()
-            blas = _openblas()
-            previous = blas[0]() if blas else None
-            malloc = _glibc_malloc()
+        if not _pool.blocks:
+            _pool.blas_threads = blas[0]() if blas else None
             if malloc:
                 malloc[0](-8, 1)  # mallopt(M_ARENA_MAX, 1)
             if blas:
                 blas[1](1)  # BLAS threads on top of the workers would oversubscribe the CPUs
-            _pool.executor = ThreadPoolExecutor(workers)
-    if outer is not None:
-        yield outer
-        return
+            _pool.executor = ThreadPoolExecutor(pool_threads()[0], initializer=setattr, initargs=(_worker, "flag", True))
+        _pool.blocks += 1
     try:
-        yield _pool.executor
+        yield _pool.executor  # the same until this block closes
     finally:
-        _pool.executor.shutdown(cancel_futures=True)  # queued calls are dropped, running ones joined
         with _pool_lock:
-            _pool.executor = None
-        if blas:
-            blas[1](previous)
-        if malloc:
-            malloc[1](0)  # malloc_trim
+            _pool.blocks -= 1
+            if not _pool.blocks:
+                _pool.executor.shutdown(cancel_futures=True)  # queued calls are dropped, running ones joined
+                _pool.executor = None
+                if blas:
+                    blas[1](_pool.blas_threads)
+                if malloc:
+                    malloc[0](-8, 8 * _cpus())  # glibc's limit when unset (mallopt ignores 0)
+                    malloc[1](0)  # malloc_trim
 
 
 def _make(data, parents, backward):

@@ -101,7 +101,6 @@ def cmd_preprocess(args) -> int:
         if value < 1:
             raise ingest.IngestError(f"{flag} must be >= 1, got {value}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.annotations:
         records = ingest.parse_fasta_tsv(args.input, args.annotations)
     else:
@@ -111,12 +110,12 @@ def cmd_preprocess(args) -> int:
         raise ingest.IngestError("no annotated records in input")
     inputs = manifest.digests([args.input] + ([args.annotations] if args.annotations else []))
 
+    vocabs = {a: ingest.build_vocabulary(records, a, args.top_k) for a in ingest.ASPECTS}  # may refuse --top-k
+    out.mkdir(parents=True, exist_ok=True)
     _write_records(records, out / "records.tsv")
-    counts = {}
-    for aspect in ingest.ASPECTS:
-        vocab = ingest.build_vocabulary(records, aspect, args.top_k)
+    for aspect, vocab in vocabs.items():
         ingest.write_vocabulary(vocab, _vocab_path(out, aspect))
-        counts[aspect.value] = sum(1 for r in records if r.terms(aspect))
+    counts = {a.value: sum(1 for r in records if r.terms(a)) for a in ingest.ASPECTS}
     meta = {"top_k": args.top_k, "max_len": args.max_len,
             "num_records": len(records), "per_aspect_records": counts}
     manifest.write_json(out / "dataset.json", meta)
@@ -202,7 +201,7 @@ def _train_one_aspect(args, mode, aspect, records, vocabs, meta, out):
                                          f"{getattr(loaded.config, field)} in checkpoint {path}")
         model = loaded.to_model()
     else:
-        model = ProteinEncoder(model_cfg, seed=cfg.seed)
+        model = ProteinEncoder(model_cfg, seed=args.seed)  # one trunk for all aspects; cfg.seed drives training
 
     wanted = _split_side(args, "train")
     freeze_kind = getattr(args, "freeze", "none")  # pretraining freezes nothing
@@ -306,7 +305,7 @@ def cmd_predict(args) -> int:
                               + [_vocab_path(args.vocab_dir, a) for a in ingest.ASPECTS])
     n = fusion_mod.predict_batch(args.input, fusion, pred_path, diagnostics=diag)
     manifest.write_manifest(out, "predict", vars_config(args), args.seed, inputs, [pred_path], started,
-                            _pool_record())
+                            {**_pool_record(), "shared_layers": fusion.shared_layers})
     _say(args, f"predicted {n} records -> {pred_path}")
     return 0
 
@@ -366,11 +365,11 @@ def cmd_evaluate(args) -> int:
     if empty := [a.value for a, (rows, _) in tested.items() if not rows]:
         raise metrics.MetricsError(f"empty test set for aspect {empty[0]}")
     if predictions is None:
-        # every test record is scored as `predict` scores it: one query per pool worker
+        # every test record is scored as `predict` scores it: one query per pool worker, longest first
         fusion = _load_fusion(sources, args.dataset, thresholds[0])
-        test_records = [r for r in records if r.accession in test_accessions]
+        queries = [(r.sequence, r.accession) for r in records if r.accession in test_accessions]
         with ad.cpu_pool() as pool:
-            predicted = pool.map(lambda r: fusion.predict(r.sequence, r.accession), test_records)
+            predicted = (job.result() for job in fusion_mod.longest_first(pool, fusion, queries))
             scored = {p.accession: p.scores for p in predicted}
     outputs = []
     reports = {}
@@ -404,7 +403,7 @@ def cmd_evaluate(args) -> int:
     if not args.quiet:
         _print_table(reports[_threshold_key(thresholds[0])])
     manifest.write_manifest(out, "evaluate", vars_config(args), args.seed, inputs, outputs, started,
-                            _pool_record() if args.model else None)
+                            {**_pool_record(), "shared_layers": fusion.shared_layers} if args.model else None)
     return 0
 
 

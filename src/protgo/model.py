@@ -230,15 +230,16 @@ class ProteinEncoder:
         return ad.layer_norm(ad.add(h, ff), p[pre + "ln2_gamma"], p[pre + "ln2_beta"])
 
     @ad.cpu_pool()  # every forward runs with OpenBLAS at one thread
-    def encode(self, ids: np.ndarray, pad_mask: np.ndarray, drop_rng=None) -> Tensor:
-        x = self.embed(ids)
-        for i in range(self.config.num_layers):
+    def encode(self, ids: np.ndarray, pad_mask: np.ndarray, drop_rng=None, x=None, start=0, stop=None) -> Tensor:
+        """Layers start..stop (default: all) over x, the input of layer start (default: the embedded ids)."""
+        x = self.embed(ids) if x is None else x
+        for i in range(start, self.config.num_layers if stop is None else stop):
             x = self.encoder_layer(x, i, pad_mask, drop_rng)
         return x
 
-    def forward_classify(self, ids: np.ndarray, pad_mask: np.ndarray, drop_rng=None) -> Tensor:
-        """[B, L] token ids -> [B, num_labels] pre-sigmoid logits."""
-        h = self.encode(ids, pad_mask, drop_rng)
+    def forward_classify(self, ids: np.ndarray, pad_mask: np.ndarray, drop_rng=None, x=None, start=0) -> Tensor:
+        """[B, L] token ids -> [B, num_labels] pre-sigmoid logits; x and start as in encode."""
+        h = self.encode(ids, pad_mask, drop_rng, x, start)
         pooled = ad.mean_pool(h, pad_mask)
         pooled = ad.gelu(ad.add(ad.matmul(pooled, self.params["pooler.w"]), self.params["pooler.b"]))
         return ad.add(ad.matmul(pooled, self.params["classifier.w"]), self.params["classifier.b"])
@@ -247,13 +248,6 @@ class ProteinEncoder:
         """[B, L] token ids -> [B, L, vocab_size] per-position logits."""
         h = self.encode(ids, pad_mask, drop_rng)
         return ad.add(ad.matmul(h, self.params["mlm_head.w"]), self.params["mlm_head.b"])
-
-    def score(self, tokens) -> np.ndarray:
-        """Sigmoid label scores [N, num_labels] for N >= 1 TokenSequences,
-        scored as one padded batch; no autodiff graph is kept."""
-        ids, mask = pad_batch(tokens)
-        with ad.no_grad():
-            return ad.sigmoid(self.forward_classify(ids, mask).data)
 
 
 def pad_batch(sequences) -> tuple:

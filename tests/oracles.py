@@ -206,6 +206,16 @@ def gelu_power(x):
     return ad._make(out, (x,), backward)
 
 
+def score(model, tokens):
+    """Sigmoid label scores [N, num_labels] of one aspect's model for N >= 1
+    TokenSequences, scored as one padded batch with no autodiff graph kept:
+    ProteinEncoder.score as it was before the aspects shared their trunk, and
+    the per-aspect oracle of FusionModel.predict."""
+    ids, mask = pad_batch(tokens)
+    with ad.no_grad():
+        return ad.sigmoid(model.forward_classify(ids, mask).data)
+
+
 def score_one_at_a_time(model, tokens):
     """Sigmoid label scores the way predict computed them before batched
     inference: each sequence padded on its own, the forward pass run with the

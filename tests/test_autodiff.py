@@ -520,10 +520,10 @@ class TestCpuPool:
                     with ad.cpu_pool() as pool:
                         if pool not in opened:
                             wrong.append("a pool that cpu_pool() did not open")
-                        elif pool.opener == threading.get_ident():  # open until this thread closes it
-                            if ad._pool.executor is not pool:
+                        else:
+                            if pool.opener == threading.get_ident() and ad._pool.executor is not pool:
                                 wrong.append("another thread took over the pool this one opened")
-                            # a pool another thread closed refuses the call
+                            # every open block submits, its opener's closed or not: a closed pool refuses the call
                             if i % 10 == 0 and not np.array_equal(
                                     pool.submit(lambda: ad.gelu(ad.Tensor(x)).data).result(), expected):
                                 wrong.append("gelu")
@@ -548,12 +548,35 @@ class TestCpuPool:
         assert (threading.active_count(), blas_threads()) == before
 
 
+    def test_a_block_that_outlives_the_openers_still_submits_work(self, two_blas_threads):
+        before = threading.active_count(), blas_threads()
+        second_open, first_closed = threading.Event(), threading.Event()
+        seen = []
+
+        def late():
+            with ad.cpu_pool() as pool:
+                second_open.set()
+                first_closed.wait(timeout=30)
+                seen.extend([pool.submit(lambda: 7).result(), blas_threads(), ad._pool.executor is pool])
+
+        with ad.cpu_pool() as pool:
+            thread = threading.Thread(target=late)
+            thread.start()
+            second_open.wait(timeout=30)
+        first_closed.set()
+        thread.join(timeout=30)
+        assert seen == [7, 1 if ad._openblas() else None, True]
+        assert ad._pool.executor is None and pool._shutdown
+        assert (threading.active_count(), blas_threads()) == before
+
+
 class TestPoolMemory:
     def test_closing_the_outer_block_trims_the_heap_once(self, monkeypatch):
         """Free heap pages go back to the system when the outermost block
         closes: without it, the train benchmark's peak RSS crept up from one
         command to the next by amounts that depended on how the pool's threads
-        had interleaved their allocations."""
+        had interleaved their allocations. The arena limit goes back to the
+        one glibc applies when none is set, 8 per CPU."""
         calls = []
         monkeypatch.setattr(ad, "_glibc_malloc", lambda: (lambda *a: calls.append(("mallopt", *a)),
                                                           lambda *a: calls.append(("trim", *a))))
@@ -561,7 +584,30 @@ class TestPoolMemory:
             with ad.cpu_pool():
                 pass
             assert calls == [("mallopt", -8, 1)]
-        assert calls == [("mallopt", -8, 1), ("trim", 0)]
+        assert calls == [("mallopt", -8, 1), ("mallopt", -8, 8 * ad._cpus()), ("trim", 0)]
+
+    def test_threads_get_arenas_of_their_own_after_a_block_without_workers(self, tmp_path):
+        """glibc fixes its arena limit the first time a thread needs an arena,
+        so the limit can only be given back while no worker has run; then
+        threads that start after the block each get an arena of their own."""
+        if ad._glibc_malloc() is None:
+            pytest.skip("no glibc malloc controls")
+        code = (
+            "import ctypes, sys, threading, numpy as np; from protgo import autodiff as ad\n"
+            "with ad.cpu_pool(): pass\n"
+            "barrier, held = threading.Barrier(4), []\n"
+            "def hold(): held.append([np.ones(10000) for _ in range(20)]); barrier.wait()\n"
+            "threads = [threading.Thread(target=hold) for _ in range(4)]\n"
+            "[t.start() for t in threads]; [t.join() for t in threads]\n"
+            "libc = ctypes.CDLL(None); libc.fopen.restype = ctypes.c_void_p\n"
+            "libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]\n"
+            "libc.malloc_info.argtypes, libc.fclose.argtypes = [ctypes.c_int, ctypes.c_void_p], [ctypes.c_void_p]\n"
+            "fh = libc.fopen(sys.argv[1].encode(), b'w'); libc.malloc_info(0, fh); libc.fclose(fh)\n"
+        )
+        info = tmp_path / "malloc_info.xml"
+        env = {**os.environ, "PYTHONPATH": str(Path(ad.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-c", code, str(info)], env=env, check=True, timeout=120)
+        assert info.read_text().count("<heap nr=") > 1  # one, the main arena, under the block's limit
 
     def test_runs_where_libc_has_no_malloc_controls(self, monkeypatch):
         monkeypatch.setattr(ad, "_glibc_malloc", lambda: None)

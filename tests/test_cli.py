@@ -95,6 +95,17 @@ class TestPreprocess:
         src.write_text("P1\tMKV\t\n")
         assert main(["preprocess", str(src), "--out", str(tmp_path / "d"), "--quiet"]) == 1
 
+    def test_a_refused_top_k_leaves_no_file(self, tmp_path, corpus, capsys):
+        """Every vocabulary is built before anything is written: the corpus has
+        3 terms per aspect, so --top-k 4 is refused."""
+        out = tmp_path / "ds"
+        out.mkdir()
+        capsys.readouterr()
+        assert main(["preprocess", str(corpus), "--top-k", "4", "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "top-4 vocabulary" in err[0]
+        assert list(out.iterdir()) == []
+
     def test_ingest_error_exit_code(self, tmp_path):
         src = tmp_path / "bad.tsv"
         src.write_text("P1\tMK9\tGO:0000001|BP\n")
@@ -340,6 +351,27 @@ class TestTrainCommands:
         assert modes == dict.fromkeys(modes, 0o644)
 
 
+class TestSharedTrunk:
+    @pytest.mark.parametrize("freeze, shared", [("default", 2), ("none", 0)])
+    def test_from_scratch_aspects_share_their_frozen_layers(self, tmp_path, dataset, freeze, shared):
+        """Each aspect's model starts from --seed, so fine-tuning with the lower
+        half frozen leaves the three models that half and the embeddings in
+        common; with nothing frozen they share nothing."""
+        model_cfg = _write(tmp_path / "deep.json", {**MODEL_JSON, "num_layers": 4})
+        out = tmp_path / "run"
+        assert main(["finetune", "--dataset", str(dataset), "--config", _write(tmp_path / "ft.json", FT_JSON),
+                     "--model-config", model_cfg, "--freeze", freeze, "--out", str(out), "--quiet"]) == 0
+        paths = [str(out / f"model_{a.value}.ckpt") for a in ASPECTS]
+        assert cli._load_fusion(paths, dataset, 0.5).shared_layers == shared
+        (tmp_path / "q.tsv").write_text("Q1\tMKVLAEGH\n")
+        assert main(["predict", str(tmp_path / "q.tsv"), "--bp", paths[0], "--mf", paths[1], "--cc", paths[2],
+                     "--vocab-dir", str(dataset), "--out", str(tmp_path / "pred"), "--quiet"]) == 0
+        assert main(["evaluate", "--dataset", str(dataset), "--model", str(out / "model_{aspect}.ckpt"),
+                     "--out", str(tmp_path / "ev"), "--quiet"]) == 0
+        for stage in ("pred", "ev"):
+            assert json.loads((tmp_path / stage / "manifest.json").read_text())["shared_layers"] == shared
+
+
 class TestHostIndependence:
     def test_finetune_writes_the_same_bytes_at_any_blas_or_cpu_count(self, tmp_path):
         """Default model config, one batch-8 step at 250-500 residues: big
@@ -551,6 +583,21 @@ class TestEvaluateWithModels:
         records = parse_tsv(dataset / "records.tsv")
         assert sorted(a for _, a in predicts) == sorted(r.accession for r in records)  # once per record
         assert len(forwards) == len(ASPECTS) * len(records) and all(forwards)
+
+    def test_records_are_queued_longest_first(self, tmp_path, trained, monkeypatch):
+        dataset, ckpt = trained
+        monkeypatch.setattr(ad, "_cpus", lambda: 1)  # one worker: calls start in the order queued
+        calls, predict = [], FusionModel.predict
+
+        def recorded(self, sequence, accession="-"):
+            calls.append((len(sequence), accession))
+            return predict(self, sequence, accession)
+
+        monkeypatch.setattr(FusionModel, "predict", recorded)
+        self._evaluate(dataset, ckpt, tmp_path / "ev")
+        records = parse_tsv(dataset / "records.tsv")
+        assert calls == sorted(((len(r.sequence), r.accession) for r in records), key=lambda c: -c[0])
+        assert calls != [(len(r.sequence), r.accession) for r in records]
 
     def test_batch_size_changes_no_output(self, tmp_path, trained):
         dataset, ckpt = trained

@@ -1,6 +1,7 @@
 import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ import pytest
 from protgo import autodiff as ad
 from protgo import fusion as fusion_mod
 from protgo import ingest
-from protgo.fusion import FusionError, FusionModel, format_prediction, predict_batch
+from protgo.fusion import FusionError, FusionModel, Prediction, format_prediction, predict_batch
 from protgo.ingest import ASPECTS, GoAspect, LabelVocabulary
-from protgo.model import ModelConfig, ProteinEncoder, pad_batch
-from conftest import blas_threads
-from oracles import predict_batch_serial
+from protgo.model import ModelConfig, ProteinEncoder, group_of, pad_batch
+from conftest import RESIDUES, blas_threads
+from oracles import predict_batch_serial, score
 
 CFG = ModelConfig(num_layers=1, d_model=8, num_heads=2, d_ff=16, max_len=16,
                   num_labels=2, dropout=0.0)
@@ -91,6 +92,58 @@ class TestPredict:
     def test_invalid_threshold(self, fusion):
         with pytest.raises(FusionError):
             fusion.set_threshold(1.5)
+
+
+TRUNK = replace(CFG, num_layers=4)
+LABELS = (2, 3, 2)  # the trunk is shared whatever the heads
+
+
+def _trio(shared, **last_config):
+    """A FusionModel at threshold 0 over three 4-layer models of 2, 3 and 2
+    labels, the last of them under `last_config`. Unless `shared` is None, the
+    second and third take the first's embedding tables and its first `shared`
+    layers; the rest of each model is drawn from a seed of its own."""
+    models, vocabs = {}, {}
+    for i, (aspect, n) in enumerate(zip(ASPECTS, LABELS)):
+        config = replace(TRUNK, num_labels=n, **(last_config if i == 2 else {}))
+        model = models[aspect] = ProteinEncoder(config, seed=i + 1)
+        if i and shared is not None:
+            copied = ("token_embedding", "positional_embedding", "segment_embedding",
+                      *(f"layer_{j}" for j in range(shared)))
+            for name, tensor in model.params.items():
+                if group_of(name) in copied:
+                    tensor.data[...] = models[ASPECTS[0]].params[name].data
+        vocabs[aspect] = LabelVocabulary(aspect, tuple(f"GO:{1000000 + 10 * i + j:07d}" for j in range(n)), (1,) * n)
+    return FusionModel(models, vocabs, threshold=0.0)
+
+
+class TestSharedTrunk:
+    @pytest.mark.parametrize("copied, shared", [(None, 0), (0, 0), (2, 2), (4, 4)])
+    def test_predict_gives_the_per_aspect_oracle_bits(self, copied, shared, monkeypatch):
+        fusion = _trio(copied)
+        assert fusion.shared_layers == shared
+        layers, encoder_layer = [], ProteinEncoder.encoder_layer
+        monkeypatch.setattr(ProteinEncoder, "encoder_layer",
+                            lambda self, x, i, *rest: layers.append(i) or encoder_layer(self, x, i, *rest))
+        rng = np.random.default_rng(shared)
+        for n in (1, 7, 16, 40):  # the last two fill and overrun max_len
+            sequence = "".join(rng.choice(list(RESIDUES), size=n))
+            layers.clear()
+            pred = fusion.predict(sequence)
+            # the shared prefix runs once, the other layers once per aspect
+            assert sorted(layers) == sorted([*range(shared), *range(shared, 4), *range(shared, 4), *range(shared, 4)])
+            tokens = ingest.tokenize(sequence, TRUNK.max_len)
+            for aspect in ASPECTS:
+                assert pred.scores[aspect].tobytes() == score(fusion.models[aspect], [tokens])[0].tobytes()
+            assert len(pred.predicted_terms) == sum(LABELS)
+
+    def test_equal_arrays_under_other_head_counts_share_nothing(self):
+        fusion = _trio(4, num_heads=4)
+        assert fusion.shared_layers == 0
+        tokens = ingest.tokenize("MKVLAEGH", TRUNK.max_len)
+        pred = fusion.predict("MKVLAEGH")
+        for aspect in ASPECTS:
+            assert pred.scores[aspect].tobytes() == score(fusion.models[aspect], [tokens])[0].tobytes()
 
 
 class TestPredictBatch:
@@ -207,6 +260,32 @@ class TestScoringPool:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tsv"]
         assert 1 <= len(blas_seen) < 40
         assert set(blas_seen) == {1 if ad._openblas() else None}
+
+
+class _Recorder:
+    """A fusion stand-in that records the sequences it scores, in call order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def predict(self, sequence, accession="-"):
+        self.calls.append(sequence)
+        return Prediction(accession=accession, scores={}, predicted_terms=[])
+
+
+class TestSchedule:
+    def test_longest_first_within_a_block_written_in_input_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ad, "_cpus", lambda: 1)  # one worker: calls start in the order queued
+        monkeypatch.setattr(fusion_mod, "BLOCK_LINES", 5)
+        inp = tmp_path / "in.tsv"
+        inp.write_text("P1\tMK\nP2\tMKVLAEGH\nbad\nP3\tMKVLAE\n# comment\n"
+                       "P4\tA\nP5\tAAAAAAAAAAAA\nP6\tMK9\nP7\tGGGG\nP8\tCCCC\n")
+        fake, diags = _Recorder(), []
+        assert predict_batch(inp, fake, tmp_path / "out.tsv", diagnostics=diags.append) == 7
+        assert fake.calls == ["MKVLAEGH", "MKVLAE", "MK", "AAAAAAAAAAAA", "GGGG", "CCCC", "A"]  # ties in input order
+        written = [line.split("\t")[0] for line in (tmp_path / "out.tsv").read_text().splitlines()]
+        assert written == ["P1", "P2", "P3", "P4", "P5", "P7", "P8"]
+        assert [d.split(":")[0] for d in diags] == ["line 3", "line 8"]
 
 
 class TestFormat:

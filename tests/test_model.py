@@ -20,7 +20,7 @@ from protgo.model import (
 )
 from protgo.training import resume_state
 from conftest import blas_threads
-from oracles import encoder_layer_out_of_place, layer_norm_ref, score_one_at_a_time
+from oracles import encoder_layer_out_of_place, layer_norm_ref, score, score_one_at_a_time
 
 DESK = ModelConfig(num_layers=2, d_model=8, num_heads=2, d_ff=16, max_len=16,
                    num_labels=4, dropout=0.0)
@@ -36,8 +36,8 @@ def _batch(*seqs, max_len=16):
 
 
 def _score_in_batches(model, tokens, batch_size):
-    """model.score over consecutive padded batches of batch_size sequences."""
-    return np.concatenate([model.score(tokens[i:i + batch_size]) for i in range(0, len(tokens), batch_size)])
+    """The score oracle over consecutive padded batches of batch_size sequences."""
+    return np.concatenate([score(model, tokens[i:i + batch_size]) for i in range(0, len(tokens), batch_size)])
 
 
 class TestConfig:
@@ -250,7 +250,7 @@ class TestScore:
     def test_one_sequence_gives_the_oracle_bits(self):
         m = _model(seed=4, max_len=64)
         tokens = _random_tokens(np.random.default_rng(3), [1, 17, 64, 80], 64)
-        got = np.concatenate([m.score([t]) for t in tokens])
+        got = np.concatenate([score(m, [t]) for t in tokens])
         assert np.array_equal(got, score_one_at_a_time(m, tokens))
 
     def test_gives_back_blas_threads_and_joins_workers(self, two_blas_threads, split_pool):
@@ -268,7 +268,7 @@ class TestScore:
             return encoder_layer(*args)
 
         m.encoder_layer = layer
-        np.testing.assert_allclose(m.score(tokens), expected, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(score(m, tokens), expected, rtol=0, atol=1e-9)
         assert inside and set(inside) == {1 if ad._openblas() else None}
         assert (threading.active_count(), blas_threads()) == before
 
