@@ -303,9 +303,11 @@ def cmd_predict(args) -> int:
 
     inputs = manifest.digests([args.input, args.bp, args.mf, args.cc]
                               + [_vocab_path(args.vocab_dir, a) for a in ingest.ASPECTS])
-    n = fusion_mod.predict_batch(args.input, fusion, pred_path, diagnostics=diag)
+    n, truncated = fusion_mod.predict_batch(args.input, fusion, pred_path, diagnostics=diag)
+    if truncated:
+        diag(f"scored {truncated} of {n} queries on their first {fusion.max_len} residues (the models' max_len)")
     manifest.write_manifest(out, "predict", vars_config(args), args.seed, inputs, [pred_path], started,
-                            {**_pool_record(), "shared_layers": fusion.shared_layers})
+                            {**_pool_record(), "shared_layers": fusion.shared_layers, "truncated_queries": truncated})
     _say(args, f"predicted {n} records -> {pred_path}")
     return 0
 

@@ -23,6 +23,7 @@ class Prediction:
     accession: str
     scores: dict  # GoAspect -> np.ndarray of probabilities, vocab order
     predicted_terms: list  # (go_id, GoAspect, score), score >= threshold
+    truncated: bool = False  # the sequence was longer than the models' max_len: its prefix was scored
 
 
 def check_labels(model, vocab) -> None:
@@ -51,14 +52,14 @@ class FusionModel:
         self.models = dict(models)
         self.vocabs = dict(vocabs)
         self.set_threshold(threshold)
-        self._max_len = min(m.config.max_len for m in self.models.values())
+        self.max_len = min(m.config.max_len for m in self.models.values())
         self.shared_layers = _shared_layers([self.models[a] for a in ASPECTS])
 
     def set_threshold(self, t: float) -> None:
         self.threshold = check_threshold(t)
 
     def predict(self, sequence: str, accession: str = "-") -> Prediction:
-        ids, mask = model_mod.pad_batch([tokenize(sequence, self._max_len)])
+        ids, mask = model_mod.pad_batch([tokenize(sequence, self.max_len)])
         k = self.shared_layers
         scores, terms = {}, []
         with ad.no_grad():
@@ -68,7 +69,8 @@ class FusionModel:
                 probs = scores[aspect] = ad.sigmoid(self.models[aspect].forward_classify(ids, mask, x=x, start=k).data)[0]
                 terms += [(go_id, aspect, float(p)) for go_id, p in zip(self.vocabs[aspect].terms, probs)
                           if p >= self.threshold]
-        return Prediction(accession=accession, scores=scores, predicted_terms=terms)
+        return Prediction(accession=accession, scores=scores, predicted_terms=terms,
+                          truncated=len(sequence) > self.max_len)
 
 
 def _shared_layers(models):
@@ -112,10 +114,11 @@ def longest_first(pool, fusion, queries):
     yield from (futures.get(i, query) for i, query in enumerate(queries))
 
 
-def predict_batch(input_path, fusion: FusionModel, output_path, diagnostics=None) -> int:
+def predict_batch(input_path, fusion: FusionModel, output_path, diagnostics=None) -> tuple:
     """Stream a TSV input, BLOCK_LINES lines at a time, through the fusion model on the pool (longest_first);
-    per-record errors are reported (via the diagnostics callback) and skipped, in input order."""
-    processed = 0
+    per-record errors are reported (via the diagnostics callback) and skipped, in input order.
+    Returns the count of queries written and of those whose prefix alone was scored (Prediction.truncated)."""
+    processed = truncated = 0
     with open(input_path, "r", encoding="utf-8") as infh, atomic_open(output_path) as outfh, ad.cpu_pool() as pool:
         lines = enumerate(infh, start=1)
         while block := list(islice(lines, BLOCK_LINES)):
@@ -126,6 +129,8 @@ def predict_batch(input_path, fusion: FusionModel, output_path, diagnostics=None
                     if diagnostics is not None:
                         diagnostics(f"line {line_no}: {error}")
                     continue
-                outfh.write(format_prediction(job.result()))
+                prediction = job.result()
+                outfh.write(format_prediction(prediction))
                 processed += 1
-    return processed
+                truncated += prediction.truncated
+    return processed, truncated

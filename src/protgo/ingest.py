@@ -51,13 +51,14 @@ class GoAspect(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "GoAspect":
-        try:
-            return cls(text)
-        except ValueError:
-            raise IngestError(f"unknown aspect '{text}' (expected BP, MF or CC)") from None
+        aspect = _ASPECT_OF.get(text)
+        if aspect is None:
+            raise IngestError(f"unknown aspect '{text}' (expected BP, MF or CC)")
+        return aspect
 
 
 ASPECTS = (GoAspect.BP, GoAspect.MF, GoAspect.CC)
+_ASPECT_OF = {aspect.value: aspect for aspect in GoAspect}  # a dict lookup; calling the enum costs more
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,9 @@ def _check_sequence(seq: str, line_no: int) -> str:
 
 
 def _parse_annotation_entry(entry: str, line_no: int):
-    parts = entry.split("|")
-    if len(parts) != 2:
+    go_id, bar, aspect = entry.partition("|")
+    if not bar or "|" in aspect:
         raise IngestError(f"malformed annotation '{entry}' at line {line_no}")
-    go_id, aspect = parts
     if not _GO_RE.match(go_id):
         raise IngestError(f"malformed GO id '{go_id}' at line {line_no}")
     return go_id, GoAspect.parse(aspect)

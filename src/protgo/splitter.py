@@ -75,25 +75,24 @@ def _check_kmer(k: int) -> None:
 
 def _kmer_codes(sequence: str, k: int):
     """Sorted distinct k-mer codes of `sequence` (each k-mer read as a base-25
-    number over RESIDUE_ALPHABET, int64) and the count of each."""
+    number over RESIDUE_ALPHABET, int64) and the count of each (int32)."""
+    _check_kmer(k)
     digits = _DIGIT[np.frombuffer(sequence.encode("latin-1", "replace"), np.uint8)]
     if (digits < 0).any():
         raise SplitError(f"sequence holds {sequence[int(np.argmax(digits < 0))]!r}, not a residue letter")
     codes = digits[:max(len(digits) - k + 1, 0)]
     for j in range(1, k):
         codes = codes * len(RESIDUE_ALPHABET) + digits[j:j + len(codes)]
-    return np.unique(codes, return_counts=True)
+    codes, counts = np.unique(codes, return_counts=True)
+    return codes, counts.astype(np.int32)
 
 
-def kmer_similarity(a: str, b: str, k: int) -> float:
-    """Shared k-mer multiset size over the k-mer count of the shorter sequence."""
-    _check_kmer(k)
-    if len(a) > len(b):
-        a, b = b, a
-    (codes_a, counts_a), (codes_b, counts_b) = _kmer_codes(a, k), _kmer_codes(b, k)
+def kmer_similarity(a, b) -> float:
+    """Shared k-mer multiset size over the smaller k-mer count of two `_kmer_codes` tables for one k."""
+    (codes_a, counts_a), (codes_b, counts_b) = sorted((a, b), key=lambda table: len(table[0]))
     at = np.minimum(np.searchsorted(codes_b, codes_a), len(codes_b) - 1)
     hit = codes_b[at] == codes_a
-    return int(np.minimum(counts_a[hit], counts_b[at[hit]]).sum()) / max(len(a) - k + 1, 1)
+    return int(np.minimum(counts_a[hit], counts_b[at[hit]]).sum()) / max(int(min(counts_a.sum(), counts_b.sum())), 1)
 
 
 def cluster_sequences(records, identity_threshold: float = 0.5, kmer: int = 5) -> ClusterAssignment:
@@ -116,10 +115,11 @@ def cluster_sequences(records, identity_threshold: float = 0.5, kmer: int = 5) -
     ordered = sorted(records, key=lambda r: (-len(r.sequence), r.accession))
     cluster_of = {}
     representative = {}
-    rep_seqs = []  # representative sequence per cluster id, in founding order
+    rep_tables = []  # representative's _kmer_codes table per cluster id, in founding order
     clusters_with = {}  # k-mer code -> ids of the clusters whose representative holds it
     for record in ordered:
-        codes, counts = (a.tolist() for a in _kmer_codes(record.sequence, kmer))
+        table = _kmer_codes(record.sequence, kmer)
+        codes, counts = (a.tolist() for a in table)
         n = len(record.sequence) - kmer + 1
         bound = {}
         for km, c in zip(codes, counts):
@@ -127,11 +127,11 @@ def cluster_sequences(records, identity_threshold: float = 0.5, kmer: int = 5) -
                 bound[cid] = bound.get(cid, 0) + c
         candidates = sorted(cid for cid, b in bound.items() if b / n >= identity_threshold)
         cid = next((cid for cid in candidates
-                    if kmer_similarity(record.sequence, rep_seqs[cid], kmer) >= identity_threshold), None)
+                    if kmer_similarity(table, rep_tables[cid]) >= identity_threshold), None)
         if cid is None:
             cid = len(representative)
             representative[cid] = record.accession
-            rep_seqs.append(record.sequence)
+            rep_tables.append(table)
             for km in codes:
                 clusters_with.setdefault(km, []).append(cid)
         cluster_of[record.accession] = cid

@@ -1,12 +1,13 @@
 """Independent reference implementations used to cross-check the main code."""
 
+import re
 from collections import Counter
 
 import numpy as np
 
 from protgo import autodiff as ad
 from protgo.fusion import FusionError, format_prediction
-from protgo.ingest import TOKEN_VOCAB, IngestError, _check_sequence, encode_labels
+from protgo.ingest import TOKEN_VOCAB, GoAspect, IngestError, _check_sequence, encode_labels
 from protgo.model import pad_batch
 from protgo.splitter import ClusterAssignment
 
@@ -121,6 +122,26 @@ def recount_terms(records, aspect):
             if a is aspect:
                 counts[go] = counts.get(go, 0) + 1
     return counts
+
+
+def parse_annotation_entry(entry, line_no):
+    """One ``GO:NNNNNNN|ASPECT`` entry as ingest parsed it before its dict
+    lookup: split on every '|', and the aspect found by calling the enum."""
+    parts = entry.split("|")
+    if len(parts) != 2:
+        raise IngestError(f"malformed annotation '{entry}' at line {line_no}")
+    go_id, aspect = parts
+    if not re.match(r"^GO:\d{7}$", go_id):
+        raise IngestError(f"malformed GO id '{go_id}' at line {line_no}")
+    try:
+        return go_id, GoAspect(aspect)
+    except ValueError:
+        raise IngestError(f"unknown aspect '{aspect}' (expected BP, MF or CC)") from None
+
+
+def parse_annotation_column(column, line_no):
+    """The annotation set of a records-TSV line's third column."""
+    return {parse_annotation_entry(entry, line_no) for entry in column.split(";") if entry}
 
 
 def kmer_multiset(sequence, k):
@@ -260,8 +281,9 @@ def encoder_layer_out_of_place(self, x, i, pad_mask, drop_rng=None):
 
 def predict_batch_serial(input_path, fusion, output_path, diagnostics=None):
     """fusion.predict_batch as it was before the scoring pool: each line is
-    parsed, scored and written in turn, on the calling thread."""
-    processed = 0
+    parsed, scored and written in turn, on the calling thread. Returns the
+    count of queries written and of those longer than fusion.max_len."""
+    processed = truncated = 0
     with open(input_path, "r", encoding="utf-8") as infh, open(output_path, "w", encoding="utf-8") as outfh:
         for line_no, line in enumerate(infh, start=1):
             line = line.rstrip("\n")
@@ -280,4 +302,5 @@ def predict_batch_serial(input_path, fusion, output_path, diagnostics=None):
                 continue
             outfh.write(format_prediction(pred))
             processed += 1
-    return processed
+            truncated += len(cols[1]) > fusion.max_len
+    return processed, truncated

@@ -414,6 +414,20 @@ class TestPredictCommand:
         recorded = json.loads((out / "manifest.json").read_text())
         assert {k: recorded[k] for k in ("simd_targets", "blas_core")} == ad.compute_fingerprint()
 
+    @pytest.mark.parametrize("length, truncated", [(55, 1), (50, 0)])
+    def test_queries_longer_than_max_len_are_counted(self, tmp_path, dataset, capsys, length, truncated):
+        run = _finetune(tmp_path, dataset)  # the dataset's max_len is 50
+        query = tmp_path / "q.tsv"
+        query.write_text(f"Q1\t{'MKVLA' * (length // 5)}\t\nQ2\tMKVLAE\t\n")
+        out = tmp_path / "pred"
+        capsys.readouterr()
+        assert main(["predict", str(query), "--bp", str(run / "model_BP.ckpt"),
+                     "--mf", str(run / "model_MF.ckpt"), "--cc", str(run / "model_CC.ckpt"),
+                     "--vocab-dir", str(dataset), "--out", str(out), "--quiet"]) == 0
+        said = "predict: scored 1 of 2 queries on their first 50 residues (the models' max_len)\n"
+        assert capsys.readouterr().err == (said if truncated else "")
+        assert json.loads((out / "manifest.json").read_text())["truncated_queries"] == truncated
+
     def test_missing_checkpoint_file(self, tmp_path, dataset):
         query = tmp_path / "q.tsv"
         query.write_text("Q1\tMKV\t\n")

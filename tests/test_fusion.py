@@ -151,7 +151,7 @@ class TestPredictBatch:
         inp = tmp_path / "in.tsv"
         inp.write_text("")
         out = tmp_path / "out.tsv"
-        assert predict_batch(inp, fusion, out) == 0
+        assert predict_batch(inp, fusion, out) == (0, 0)
         assert out.read_text() == ""
 
     def test_malformed_rows_reported_and_skipped(self, fusion, tmp_path):
@@ -159,8 +159,7 @@ class TestPredictBatch:
         inp.write_text("P1\tMKV\t\nP2\tMK9\t\nP3\tAAAA\t\nP4\tGGG\t\n")
         out = tmp_path / "out.tsv"
         diags = []
-        n = predict_batch(inp, fusion, out, diagnostics=diags.append)
-        assert n == 3
+        assert predict_batch(inp, fusion, out, diagnostics=diags.append) == (3, 0)
         assert len(diags) == 1 and "line 2" in diags[0]
         accs = {line.split("\t")[0] for line in out.read_text().splitlines()}
         assert accs == {"P1", "P3", "P4"}
@@ -281,7 +280,7 @@ class TestSchedule:
         inp.write_text("P1\tMK\nP2\tMKVLAEGH\nbad\nP3\tMKVLAE\n# comment\n"
                        "P4\tA\nP5\tAAAAAAAAAAAA\nP6\tMK9\nP7\tGGGG\nP8\tCCCC\n")
         fake, diags = _Recorder(), []
-        assert predict_batch(inp, fake, tmp_path / "out.tsv", diagnostics=diags.append) == 7
+        assert predict_batch(inp, fake, tmp_path / "out.tsv", diagnostics=diags.append) == (7, 0)
         assert fake.calls == ["MKVLAEGH", "MKVLAE", "MK", "AAAAAAAAAAAA", "GGGG", "CCCC", "A"]  # ties in input order
         written = [line.split("\t")[0] for line in (tmp_path / "out.tsv").read_text().splitlines()]
         assert written == ["P1", "P2", "P3", "P4", "P5", "P7", "P8"]

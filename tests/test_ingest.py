@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from protgo import ingest
 from protgo.ingest import (
@@ -8,6 +8,7 @@ from protgo.ingest import (
     parse_fasta_tsv, parse_tsv, read_vocabulary, tokenize, write_vocabulary,
 )
 from conftest import random_corpus
+import oracles
 from oracles import detokenize, recount_terms
 
 
@@ -74,6 +75,36 @@ class TestParseTsv:
         path.write_text("P1\tMKV\tGO:0003824|MF;GO:0000001|BP\n")
         (rec,) = parse_tsv(path)
         assert len(rec.annotations) == 2
+
+    @pytest.mark.parametrize("column, message", [
+        ("GO:0000001", "malformed annotation 'GO:0000001' at line 2"),
+        ("GO:0000001|BP|MF", "malformed annotation 'GO:0000001|BP|MF' at line 2"),
+        ("GO:0000001|BP;GO:123|MF", "malformed GO id 'GO:123' at line 2"),
+        ("GO:0000001|bp", "unknown aspect 'bp' (expected BP, MF or CC)"),
+        ("GO:0000001|", "unknown aspect '' (expected BP, MF or CC)"),
+    ])
+    def test_annotation_messages(self, tmp_path, column, message):
+        path = tmp_path / "in.tsv"
+        path.write_text(f"P1\tMKV\t\nP2\tMKV\t{column}\n")
+        with pytest.raises(IngestError) as err:
+            parse_tsv(path)
+        assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["GO:", "0000001", "1234567", "123", "\u0663" * 7, "|", "||", ";", ";;",
+                                     "BP", "MF", "CC", "bp", "X", " ", "GO:0003824|CC"]), max_size=12).map("".join))
+    def test_any_annotation_column_matches_the_split_parser(self, tmp_path_factory, column):
+        path = tmp_path_factory.getbasetemp() / "annotation_column.tsv"
+        path.write_text(f"P1\tMKV\t{column}\n", encoding="utf-8")
+        try:
+            want = oracles.parse_annotation_column(column, 1)
+        except IngestError as exc:
+            with pytest.raises(IngestError) as err:
+                parse_tsv(path)
+            assert str(err.value) == str(exc)
+        else:
+            (rec,) = parse_tsv(path)
+            assert rec.annotations == want
 
 
 class TestParseFasta:

@@ -49,19 +49,24 @@ class TestRandomSplit:
             random_split([f"P{i}" for i in range(9)], seed=0)
 
 
+def _similarity(a, b, k):
+    return kmer_similarity(splitter._kmer_codes(a, k), splitter._kmer_codes(b, k))
+
+
 class TestKmerSimilarity:
     def test_identical(self):
-        assert kmer_similarity("MKVLAE", "MKVLAE", 3) == 1.0
+        assert _similarity("MKVLAE", "MKVLAE", 3) == 1.0
 
     def test_disjoint(self):
-        assert kmer_similarity("AAAA", "CCCC", 3) == 0.0
+        assert _similarity("AAAA", "CCCC", 3) == 0.0
 
     def test_hand_case(self):
         # AAAAA has {AAA x3}; AAAAC has {AAA x2, AAC}; shared multiset = 2
-        assert kmer_similarity("AAAAA", "AAAAC", 3) == pytest.approx(2 / 3)
+        assert _similarity("AAAAA", "AAAAC", 3) == pytest.approx(2 / 3)
 
     def test_too_short(self):
-        assert kmer_similarity("MK", "MKVLAE", 3) == 0.0
+        assert _similarity("MK", "MKVLAE", 3) == 0.0
+        assert _similarity("MKVLAE", "MK", 3) == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["AC", "ACD", RESIDUE_ALPHABET]).flatmap(
@@ -70,7 +75,7 @@ class TestKmerSimilarity:
     def test_equals_the_counter_oracle(self, pair, k):
         # integer codes and sorted-array intersection against Counters of
         # k-mer strings: the same integers, so the same float
-        assert kmer_similarity(*pair, k) == oracles.kmer_similarity(*pair, k)
+        assert _similarity(*pair, k) == oracles.kmer_similarity(*pair, k)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet=RESIDUE_ALPHABET, max_size=40), st.integers(2, 13))
@@ -86,7 +91,7 @@ class TestKmerSimilarity:
     @pytest.mark.parametrize("k", [1, 14])
     def test_kmer_outside_what_the_codes_hold(self, k):
         with pytest.raises(SplitError, match="kmer"):
-            kmer_similarity("MKVLAEWWKQRRPLAG", "MKVLAEWWKQRRPLAG", k)
+            splitter._kmer_codes("MKVLAEWWKQRRPLAG", k)
 
     @pytest.mark.parametrize("residue", ["k", "-", "\xe9", "\u0416", "\U0001f9ec"])
     @pytest.mark.parametrize("short", [False, True])
@@ -95,9 +100,7 @@ class TestKmerSimilarity:
         # also in a sequence shorter than k
         seq = "MK" + residue if short else "MKVLAE" + residue + "WWKQ"
         with pytest.raises(SplitError, match="not a residue letter"):
-            kmer_similarity(seq, "MKVLAEWWKQ", 5)
-        with pytest.raises(SplitError, match="not a residue letter"):
-            kmer_similarity("MKVLAEWWKQ", seq, 5)
+            splitter._kmer_codes(seq, 5)
 
 
 class TestClusterSequences:
@@ -202,12 +205,23 @@ class TestClusterSequencesMatchesPairwise:
         records = _families(seed=101)
         calls = []
         monkeypatch.setattr(splitter, "kmer_similarity",
-                            lambda a, b, k: calls.append(1) or kmer_similarity(a, b, k))
+                            lambda a, b: calls.append(1) or kmer_similarity(a, b))
         assignment = cluster_sequences(records, 0.5, 5)
         assert assignment.num_clusters == 40
         # one check per record that joins a family; comparing with every
         # representative makes 4060
         assert len(calls) == len(records) - assignment.num_clusters == 160
+
+    def test_each_record_is_encoded_once(self, monkeypatch):
+        records = _families(seed=101)
+        encoded = []
+        kmer_codes = splitter._kmer_codes
+        monkeypatch.setattr(splitter, "_kmer_codes",
+                            lambda sequence, k: encoded.append(sequence) or kmer_codes(sequence, k))
+        cluster_sequences(records, 0.5, 5)
+        # re-encoding both sides of each of the 160 checks makes 520
+        assert sorted(encoded) == sorted(r.sequence for r in records)
+        assert len(encoded) == 200
 
 
 class TestClusteredSplit:
